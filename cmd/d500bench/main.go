@@ -42,7 +42,6 @@ func run() int {
 	arena := flag.Bool("arena", false, "recycle activation buffers through a tensor arena")
 	opt := flag.Bool("opt", false, "run the compile pipeline (fusion/folding/DCE) over every experiment model")
 	gemm := flag.String("gemm", "", "GEMM kernel algorithm: naive, blocked, parallel, packed (default packed)")
-	plan := flag.Bool("plan", false, "statically plan forward activation memory (zero-alloc steady-state inference)")
 	timeout := flag.Duration("timeout", 0, "abort the suite after this duration (0 = no deadline)")
 	format := flag.String("format", "text", "output format: text or json")
 	out := flag.String("out", "", "write the JSON benchmark report to this file")
@@ -80,9 +79,6 @@ func run() int {
 	}
 	if *gemm != "" {
 		sessOpts = append(sessOpts, d500.WithGemm(*gemm))
-	}
-	if *plan {
-		sessOpts = append(sessOpts, d500.WithMemPlan())
 	}
 	if *quick {
 		sessOpts = append(sessOpts, d500.WithQuick())

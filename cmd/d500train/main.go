@@ -50,7 +50,6 @@ func main() {
 	arena := flag.Bool("arena", false, "recycle activation buffers through a tensor arena")
 	optimize := flag.Bool("opt", false, "compile the graph before execution (fusion/folding/DCE)")
 	gemm := flag.String("gemm", "", "GEMM kernel algorithm: naive, blocked, parallel, packed (default packed)")
-	plan := flag.Bool("plan", false, "statically plan forward activation memory (speeds up the evaluation passes)")
 	epochs := flag.Int("epochs", 5, "training epochs")
 	batch := flag.Int("batch", 64, "minibatch size")
 	lr := flag.Float64("lr", 0.02, "learning rate")
@@ -110,9 +109,6 @@ func main() {
 	}
 	if *gemm != "" {
 		opts = append(opts, d500.WithGemm(*gemm))
-	}
-	if *plan {
-		opts = append(opts, d500.WithMemPlan())
 	}
 	if *ckptEvery > 0 {
 		opts = append(opts, d500.WithCheckpointEvery(*ckptEvery))

@@ -29,7 +29,6 @@ func (s *Session) coreOptions() core.Options {
 		Arena:    s.cfg.arena,
 		Optimize: s.cfg.optimize,
 		Gemm:     s.cfg.gemm,
-		MemPlan:  s.cfg.memPlan,
 	}
 }
 
@@ -67,7 +66,6 @@ func (s *Session) Bench(ctx context.Context, ids []string, cfg BenchConfig) (*Be
 	env.Arena = s.cfg.arena
 	env.Optimize = s.cfg.optimize
 	env.Gemm = s.cfg.gemm
-	env.MemPlan = s.cfg.memPlan
 	env.Quick = s.cfg.quick
 	env.Seed = s.cfg.seed
 	return suite.Run(ctx, ids, bench.RunConfig{

@@ -75,7 +75,6 @@ type config struct {
 	arena       bool
 	optimize    bool
 	gemm        string // canonical algorithm name, "" = registry default (packed)
-	memPlan     bool
 	seed        uint64 // always non-zero after New (defaultSeed fallback)
 	poolWorkers int
 	quick       bool
@@ -175,20 +174,6 @@ func WithGemm(name string) Option {
 				name, strings.Join(GemmAlgorithms(), ", "))
 		}
 		c.gemm = name
-		return nil
-	}
-}
-
-// WithMemPlan enables liveness-based static memory planning of forward
-// activations: the first inference pass at a given set of feed shapes
-// profiles the graph, then a single pre-sized slab backs every intermediate
-// tensor of subsequent same-shape passes, making steady-state inference
-// allocation-free. Shape changes re-profile transparently and training
-// passes bypass the plan, so the option is always safe to enable. (This is
-// the -plan flag of d500bench and d500train.)
-func WithMemPlan() Option {
-	return func(c *config) error {
-		c.memPlan = true
 		return nil
 	}
 }

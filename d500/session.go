@@ -161,9 +161,6 @@ func (s *Session) execOptions() []executor.Option {
 		algo, _ := kernels.ParseGemmAlgo(s.cfg.gemm)
 		opts = append(opts, executor.WithGemm(algo))
 	}
-	if s.cfg.memPlan {
-		opts = append(opts, executor.WithMemPlan(true))
-	}
 	return opts
 }
 

@@ -65,7 +65,6 @@ type Environment struct {
 	Arena       bool   `json:"arena"`
 	Optimize    bool   `json:"optimize"`
 	Gemm        string `json:"gemm,omitempty"`
-	MemPlan     bool   `json:"mem_plan,omitempty"`
 	Quick       bool   `json:"quick"`
 	Seed        uint64 `json:"seed"`
 }

@@ -26,15 +26,11 @@ import (
 // CompileBenchRow is one (workload, variant) measurement.
 type CompileBenchRow struct {
 	Workload   string // "mlp" (Dense→Bias→Act) or "lenet" (Conv→Bias→ReLU)
-	Variant    string // "baseline", "optimized" or "planned"
+	Variant    string // "baseline" or "optimized"
 	Dispatches int    // operator dispatches in one forward pass (deterministic)
 	Fused      int    // chains fused by the pipeline (0 for baseline)
 	Seconds    []float64
 	Warmup     int
-	// SlabBytes / NoReuseBytes describe the planned variant's static memory
-	// plan (0 for the others); both are deterministic for a fixed model and
-	// batch size.
-	SlabBytes, NoReuseBytes int
 }
 
 // compileWorkload is one model the experiment exercises.
@@ -82,10 +78,7 @@ func RunCompileBench(ctx context.Context, o Options) ([]CompileBenchRow, error) 
 			"labels": labels,
 		}
 
-		// "planned" stacks the static memory plan on the optimized graph, so
-		// the experiment isolates what liveness-planned allocation adds on
-		// top of fusion.
-		variants := []string{"baseline", "optimized", "planned"}
+		variants := []string{"baseline", "optimized"}
 		execs := make(map[string]*executor.Executor, len(variants))
 		wrows := make(map[string]*CompileBenchRow, len(variants))
 		var ref map[string]*tensor.Tensor
@@ -105,9 +98,6 @@ func RunCompileBench(ctx context.Context, o Options) ([]CompileBenchRow, error) 
 			fusedChains := 0
 			if variant != "baseline" {
 				opts = append(opts, executor.WithOptimize(compile.Defaults()))
-			}
-			if variant == "planned" {
-				opts = append(opts, executor.WithMemPlan(true))
 			}
 			e, err := executor.New(w.model, opts...)
 			if err != nil {
@@ -166,12 +156,6 @@ func RunCompileBench(ctx context.Context, o Options) ([]CompileBenchRow, error) 
 			}
 		}
 		for _, variant := range variants {
-			if variant == "planned" {
-				if plan := execs[variant].MemPlan(); plan != nil {
-					wrows[variant].SlabBytes = int(plan.SlabBytes())
-					wrows[variant].NoReuseBytes = int(plan.NoReuseBytes())
-				}
-			}
 			rows = append(rows, *wrows[variant])
 		}
 	}
@@ -196,18 +180,12 @@ func maxAbsDiffT(a, b *tensor.Tensor) float64 {
 // RenderCompileBench renders the compile-pipeline rows.
 func RenderCompileBench(rows []CompileBenchRow) *Table {
 	t := &Table{Title: "Graph compilation: fused vs unfused forward pass",
-		Headers: []string{"Workload", "Variant", "Dispatches/pass", "Fused chains", "Median fwd", "Plan slab"}}
+		Headers: []string{"Workload", "Variant", "Dispatches/pass", "Fused chains", "Median fwd"}}
 	for _, r := range rows {
 		med := metrics.Summarize(r.Seconds).Median
-		slab := "—"
-		if r.SlabBytes > 0 {
-			slab = fmt.Sprintf("%d KiB (%.2fx reuse)", r.SlabBytes/1024,
-				float64(r.NoReuseBytes)/float64(r.SlabBytes))
-		}
-		t.AddRow(r.Workload, r.Variant, itoa(int64(r.Dispatches)), itoa(int64(r.Fused)), fsec(med), slab)
+		t.AddRow(r.Workload, r.Variant, itoa(int64(r.Dispatches)), itoa(int64(r.Fused)), fsec(med))
 	}
 	t.AddNote("mlp: Dense→Bias→Activation fusion (FusedGemmAct); lenet: adds Conv→Bias→ReLU (FusedConvRelu)")
-	t.AddNote("planned: optimized graph + liveness-planned activation slab (zero-alloc steady-state forward)")
 	t.AddNote("dispatch counts are deterministic and always gate; wall-clock gates only on comparable CPUs")
 	return t
 }
@@ -225,13 +203,6 @@ func runCompileExp(c *bench.Context, o Options) error {
 		if r.Variant == "optimized" {
 			c.RecordValue(r.Workload+"/fused-chains", "chains", bench.HigherIsBetter, float64(r.Fused))
 		}
-		if r.Variant == "planned" && r.SlabBytes > 0 {
-			// Slab size is deterministic for a fixed model and batch — a
-			// planner regression that loses reuse shows up here.
-			c.RecordValue(key+"/slab", "B", bench.LowerIsBetter, float64(r.SlabBytes))
-			c.RecordValue(key+"/plan-reuse", "x", bench.ReportOnly,
-				float64(r.NoReuseBytes)/float64(r.SlabBytes))
-		}
 		rec := c.RecordSamples(key+"/forward", "s", bench.LowerIsBetter, r.Seconds)
 		rec.Warmup = r.Warmup
 		med[key] = rec.Stats.Median
@@ -239,9 +210,6 @@ func runCompileExp(c *bench.Context, o Options) error {
 	for _, w := range []string{"mlp", "lenet"} {
 		if b, ok := med[w+"/baseline"]; ok && med[w+"/optimized"] > 0 {
 			c.RecordValue(w+"/speedup", "x", bench.ReportOnly, b/med[w+"/optimized"])
-		}
-		if b, ok := med[w+"/baseline"]; ok && med[w+"/planned"] > 0 {
-			c.RecordValue(w+"/plan-speedup", "x", bench.ReportOnly, b/med[w+"/planned"])
 		}
 	}
 	return nil

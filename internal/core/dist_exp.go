@@ -9,6 +9,7 @@ import (
 	"deep500/internal/bench"
 	"deep500/internal/dist"
 	"deep500/internal/executor"
+	"deep500/internal/metrics"
 	"deep500/internal/models"
 	"deep500/internal/mpi"
 	"deep500/internal/training"
@@ -56,9 +57,9 @@ func RunDistBench(ctx context.Context, o Options) ([]DistBenchRow, error) {
 		}
 		rows = append(rows, row)
 	}
-	base := medianOf(rows[0].StepTimes)
+	base := metrics.Summarize(rows[0].StepTimes).Median
 	for i := range rows {
-		if t := medianOf(rows[i].StepTimes); t > 0 {
+		if t := metrics.Summarize(rows[i].StepTimes).Median; t > 0 {
 			rows[i].Efficiency = base / t
 		}
 	}
@@ -140,13 +141,6 @@ func runDistWorld(ctx context.Context, o Options, workers, steps, batch, hidden 
 	}, nil
 }
 
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return quantile(xs, 0.5)
-}
-
 // RenderDistBench renders the scaling rows.
 func RenderDistBench(rows []DistBenchRow) *Table {
 	t := &Table{Title: "Distributed: DSGD over TCP loopback, ring allreduce (weak scaling, fixed per-worker batch)",
@@ -155,7 +149,7 @@ func RenderDistBench(rows []DistBenchRow) *Table {
 		t.AddRow(itoa(int64(r.Workers)), itoa(int64(r.Steps)),
 			fmt.Sprintf("%.4f", r.FinalLoss),
 			fmtBytes(r.BytesPerStep),
-			fsec(medianOf(r.StepTimes)),
+			fsec(metrics.Summarize(r.StepTimes).Median),
 			fmt.Sprintf("%.2f", r.Efficiency))
 	}
 	t.AddNote("real sockets and framing; the TCP ring reproduces the simulator ring's chunk schedule bitwise")

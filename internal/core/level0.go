@@ -35,10 +35,6 @@ type Options struct {
 	// an experiment constructs (mirrors the -gemm flag): "naive", "blocked",
 	// "parallel" or "packed". Empty keeps the registry default (packed).
 	Gemm string
-	// MemPlan enables liveness-based static memory planning of forward
-	// activations in every executor an experiment constructs (mirrors the
-	// -plan flag).
-	MemPlan bool
 }
 
 // execOpts resolves Exec into executor construction options. An invalid
@@ -63,9 +59,6 @@ func (o Options) execOpts() ([]executor.Option, error) {
 			return nil, fmt.Errorf("core: unknown GEMM algorithm %q (naive, blocked, parallel, packed)", o.Gemm)
 		}
 		opts = append(opts, executor.WithGemm(algo))
-	}
-	if o.MemPlan {
-		opts = append(opts, executor.WithMemPlan(true))
 	}
 	return opts, nil
 }

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"deep500/internal/bench"
 	"deep500/internal/executor"
+	"deep500/internal/metrics"
 	"deep500/internal/models"
 	"deep500/internal/serve"
 	"deep500/internal/tensor"
@@ -250,25 +250,15 @@ func RunServeBench(ctx context.Context, o Options) ([]ServeBenchRow, error) {
 	return results, nil
 }
 
-// quantile returns the q-quantile of xs (nearest-rank on a sorted copy).
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(q * float64(len(s)-1))
-	return s[i]
-}
-
 // RenderServeBench renders the serving rows.
 func RenderServeBench(rows []ServeBenchRow) *Table {
 	t := &Table{Title: "Serving: dynamic micro-batching vs single-request baseline (mlp, 1 replica)",
 		Headers: []string{"Variant", "MaxBatch", "Requests", "Throughput", "p50 lat", "p95 lat", "Rows/batch"}}
 	for _, r := range rows {
+		lat := metrics.Summarize(r.Latencies)
 		t.AddRow(r.Variant, itoa(int64(r.MaxBatch)), itoa(int64(r.Requests)),
 			fmt.Sprintf("%.0f req/s", r.Throughput),
-			fsec(quantile(r.Latencies, 0.50)), fsec(quantile(r.Latencies, 0.95)),
+			fsec(lat.Median), fsec(lat.P95),
 			fmt.Sprintf("%.2f", r.Occupancy))
 	}
 	t.AddNote("closed-loop clients (one request in flight each); batching amortizes per-pass dispatch and weight traffic")
@@ -288,8 +278,9 @@ func runServeExp(c *bench.Context, o Options) error {
 		c.RecordValue(key+"/requests", "req", bench.HigherIsBetter, float64(r.Requests))
 		rec := c.RecordSamples(key+"/latency", "s", bench.LowerIsBetter, r.Latencies)
 		rec.Warmup = 1 // one untimed round per client
-		c.RecordValue(key+"/p50-latency", "s", bench.ReportOnly, quantile(r.Latencies, 0.50))
-		c.RecordValue(key+"/p95-latency", "s", bench.ReportOnly, quantile(r.Latencies, 0.95))
+		lat := metrics.Summarize(r.Latencies)
+		c.RecordValue(key+"/p50-latency", "s", bench.ReportOnly, lat.Median)
+		c.RecordValue(key+"/p95-latency", "s", bench.ReportOnly, lat.P95)
 		c.RecordValue(key+"/throughput", "req/s", bench.ReportOnly, r.Throughput)
 		c.RecordValue(key+"/batch-occupancy", "rows", bench.ReportOnly, r.Occupancy)
 		tput[key] = r.Throughput

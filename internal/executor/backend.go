@@ -109,10 +109,7 @@ func (st *schedState) pop() *graph.Node {
 // is checked before every node dispatch: cancellation marks the scheduler
 // stopped, drains in-flight work, and returns ctx.Err().
 func (b *ParallelBackend) RunForward(ctx context.Context, e *Executor) error {
-	// passDeps returns the plan-augmented dependency graph when a memory
-	// plan is active, so slab reuse never races ahead of a region's
-	// previous readers.
-	deps := e.passDeps()
+	deps := e.depGraph()
 	st := &schedState{waits: make(map[*graph.Node]int, len(e.order))}
 	st.cond = sync.NewCond(&st.mu)
 	for n, w := range deps.waits {

@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"deep500/internal/graph"
@@ -145,6 +146,39 @@ func TestArenaRecyclesActivations(t *testing.T) {
 	}
 	t.Logf("arena traffic: %d gets, %d hits (%.0f%% recycled)",
 		st.Gets, st.Hits, 100*float64(st.Hits)/float64(st.Gets))
+}
+
+// TestArenaInferenceBytes gates what the arena saves: a steady-state LeNet
+// forward pass at batch 8 on the sequential backend must allocate at most
+// 2% of the heap bytes the same pass allocates without an arena. Both
+// executors run in this process, so the ratio does not depend on the host.
+func TestArenaInferenceBytes(t *testing.T) {
+	const passes = 20
+	m := models.LeNet(models.Config{Classes: 10, Channels: 1, Height: 28, Width: 28, WithHead: true, Seed: 3})
+	feeds := feedsFor(m, 8, 5)
+	ctx := context.Background()
+	bytesPerPass := func(e *Executor) float64 {
+		for i := 0; i < 3; i++ { // warm the arena and the reused bookkeeping
+			if _, err := e.Inference(ctx, feeds); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < passes; i++ {
+			if _, err := e.Inference(ctx, feeds); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / passes
+	}
+	plain := bytesPerPass(MustNew(m))
+	arena := bytesPerPass(MustNew(m, WithArena(tensor.NewArena())))
+	t.Logf("bytes/pass: plain %.0f, arena %.0f (%.2f%%)", plain, arena, 100*arena/plain)
+	if arena > 0.02*plain {
+		t.Fatalf("arena pass allocates %.0f B, more than 2%% of the plain pass's %.0f B", arena, plain)
+	}
 }
 
 // TestBackendByName covers the CLI selector.

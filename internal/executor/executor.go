@@ -59,12 +59,6 @@ type Executor struct {
 
 	backend ExecBackend
 	arena   *tensor.Arena
-	// memPlan enables the static memory plan (WithMemPlan); planRT holds
-	// the installed plan and planActive tells whether the current pass runs
-	// out of it (training passes never do).
-	memPlan    bool
-	planRT     *planRuntime
-	planActive bool
 	// gemmAlgo, when non-nil, overrides the GEMM kernel algorithm on every
 	// GEMM-backed operator at construction (WithGemm).
 	gemmAlgo *kernels.GemmAlgo
@@ -88,9 +82,7 @@ type Executor struct {
 	nodeIns   map[*graph.Node][]*tensor.Tensor
 	nodeOuts  map[*graph.Node][]*tensor.Tensor
 	nodeInBuf map[*graph.Node][]*tensor.Tensor
-	// planOut is the reused outputs map handed back by plan-mode passes;
 	// outScratch is freeActivations' reused protected-outputs buffer.
-	planOut    map[string]*tensor.Tensor
 	outScratch []*tensor.Tensor
 	// passSpan is the current forward pass's trace span (nil when the pass
 	// is untraced — the common case, costing execNode one nil check). It is
@@ -125,22 +117,6 @@ func WithBackend(b ExecBackend) Option {
 // activations are detached when the pass ends.
 func WithArena(a *tensor.Arena) Option {
 	return func(e *Executor) { e.arena = a }
-}
-
-// WithMemPlan enables liveness-based static memory planning for forward
-// passes. The first inference at a given set of feed shapes profiles
-// activation shapes through the ordinary allocation path, then installs a
-// compile.PlanMemory slab; subsequent same-shape inferences write every
-// planned activation into fixed slab offsets and allocate nothing. Feed
-// shape changes transparently re-profile and re-plan.
-//
-// With a plan active, the tensors returned by Inference (and the map
-// holding them) are views into the slab, valid until the next pass on this
-// executor — copy them if they must outlive it. Training passes
-// (InferenceAndBackprop) bypass the plan, because backpropagation reads
-// activations past the lifetimes the plan assumes.
-func WithMemPlan(enable bool) Option {
-	return func(e *Executor) { e.memPlan = enable }
 }
 
 // WithGemm overrides the GEMM kernel algorithm on every GEMM-backed
@@ -296,7 +272,6 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 	if parent := trace.FromContext(ctx); parent != nil {
 		e.passSpan = parent.StartChild("exec.forward",
 			trace.String("backend", backendName(e.backend)),
-			trace.Bool("plan", e.planActive),
 			trace.Bool("arena", e.arena != nil),
 			trace.Int("nodes", len(e.order)))
 	}
@@ -312,11 +287,6 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 	}
 	e.LastForwardFLOPs = 0
 	e.lastActivationBytes = 0
-	if e.planActive {
-		for _, pa := range e.planRT.allocs {
-			pa.next = 0
-		}
-	}
 
 	for name, t := range feeds {
 		e.values[name] = t
@@ -511,44 +481,16 @@ func (e *Executor) freeActivations() {
 // Cancelling ctx aborts the pass between node executions and returns the
 // context's error.
 func (e *Executor) Inference(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	if e.memPlan {
-		if e.planRT != nil && !e.planRT.matches(feeds) {
-			e.dropPlan() // feed shapes changed: re-profile
-		}
-		e.setPlanActive(e.planRT != nil)
-	}
 	if err := e.forward(ctx, feeds); err != nil {
 		e.freeActivations()
 		return nil, err
 	}
 	out := e.collectOutputs()
-	if e.memPlan {
-		if e.planActive && e.planRT.miss.Load() {
-			e.dropPlan() // a shape drifted mid-pass: plan is stale
-		} else if !e.planActive {
-			e.buildPlan(feeds) // profiling pass done: install the plan
-		}
-	}
 	e.freeActivations()
 	return out, nil
 }
 
 func (e *Executor) collectOutputs() map[string]*tensor.Tensor {
-	if e.planActive {
-		// Plan-mode passes reuse one outputs map: like the slab tensors it
-		// holds, it is valid until the next pass on this executor.
-		if e.planOut == nil {
-			e.planOut = make(map[string]*tensor.Tensor, len(e.net.Model.Outputs))
-		} else {
-			clear(e.planOut)
-		}
-		for _, name := range e.net.Model.Outputs {
-			if t, ok := e.values[name]; ok {
-				e.planOut[name] = t
-			}
-		}
-		return e.planOut
-	}
 	out := make(map[string]*tensor.Tensor, len(e.net.Model.Outputs))
 	for _, name := range e.net.Model.Outputs {
 		if t, ok := e.values[name]; ok {
@@ -566,11 +508,6 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Training passes never run out of the memory plan: backpropagation
-	// reads forward activations after their plan-assumed last use, so slab
-	// reuse would clobber them. The plan (if any) stays installed for the
-	// next inference.
-	e.setPlanActive(false)
 	if err := e.forward(ctx, feeds); err != nil {
 		e.freeActivations()
 		return nil, err

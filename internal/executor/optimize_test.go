@@ -29,16 +29,6 @@ func TestOptimizedConformance(t *testing.T) {
 					WithBackend(NewParallelBackend(nil))),
 				"opt-parallel+arena": MustNew(m, WithOptimize(compile.Defaults()),
 					WithBackend(NewParallelBackend(nil)), WithArena(tensor.NewArena())),
-				// Plan variants: pass 0 profiles, passes 1-2 run out of the
-				// static slab — the repeat loop below exercises both modes, and
-				// the backprop check exercises the plan-bypass path.
-				"opt-plan-sequential": MustNew(m, WithOptimize(compile.Defaults()),
-					WithMemPlan(true)),
-				"opt-plan-parallel": MustNew(m, WithOptimize(compile.Defaults()),
-					WithBackend(NewParallelBackend(nil)), WithMemPlan(true)),
-				"opt-plan-parallel+arena": MustNew(m, WithOptimize(compile.Defaults()),
-					WithBackend(NewParallelBackend(nil)), WithArena(tensor.NewArena()),
-					WithMemPlan(true)),
 			}
 			for vname, e := range variants {
 				rep := e.CompileReport()

@@ -100,10 +100,9 @@ func TestTracedBackwardSpans(t *testing.T) {
 	}
 }
 
-// TestUntracedPassZeroOverhead pins the disabled-tracing cost: an
-// untraced context adds zero allocations to a planned steady-state pass
-// (the same property TestMemPlanZeroAllocs gates, re-stated here against
-// the instrumented execNode path).
+// TestUntracedPassZeroOverhead pins the disabled-tracing path: a context
+// without a span (or carrying a nil one) leaves no pass span behind, so
+// the instrumented execNode path costs one nil check per op.
 func TestUntracedPassZeroOverhead(t *testing.T) {
 	e := MustNew(xorModel())
 	x, labels := xorData()

@@ -182,15 +182,10 @@ func (r *reader) trainState() *TrainState {
 			s.OptTensors[k] = t
 		}
 	}
-	nOrder := int(r.uvarint())
-	if r.err == nil && nOrder > 1<<30 {
-		r.err = fmt.Errorf("graph: unreasonable sampler order length %d", nOrder)
-	}
-	if r.err == nil {
-		s.SamplerOrder = make([]int, nOrder)
-		for i := range s.SamplerOrder {
-			s.SamplerOrder[i] = int(r.varint())
-		}
+	nOrder := r.uvarint()
+	s.SamplerOrder = make([]int, 0, min(nOrder, maxPrealloc))
+	for i := uint64(0); i < nOrder && r.err == nil; i++ {
+		s.SamplerOrder = append(s.SamplerOrder, int(r.varint()))
 	}
 	s.SamplerPos = int(r.uvarint())
 	s.HasSamplerRNG = r.bool()

@@ -40,6 +40,21 @@ const (
 
 var errBadMagic = errors.New("graph: not a D5NX stream")
 
+// ErrMalformed is wrapped by every error Decode and DecodeCheckpoint return
+// for a stream that ends early or declares sizes it cannot hold.
+var ErrMalformed = errors.New("graph: malformed D5NX stream")
+
+// Slices sized by a count read off the stream start at most maxPrealloc
+// elements large and grow by append while reads succeed, so a corrupt
+// count costs no more memory than the stream that carries it. (Strings
+// are capped separately, at 16 MiB.)
+const (
+	maxPrealloc = 1 << 10
+	// maxElems bounds a tensor's element count so that its byte size,
+	// 4*n, still fits in an int.
+	maxElems = math.MaxInt / 4
+)
+
 type writer struct {
 	w   *bufio.Writer
 	err error
@@ -186,12 +201,25 @@ type reader struct {
 	err error
 }
 
+// fail records the first decode error, wrapped in ErrMalformed. A read the
+// format requires that finds the stream exhausted is a truncation, so
+// io.EOF is reported as io.ErrUnexpectedEOF.
+func (r *reader) fail(err error) {
+	if err == nil || r.err != nil {
+		return
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	r.err = fmt.Errorf("%w: %w", ErrMalformed, err)
+}
+
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, err := binary.ReadUvarint(r.r)
-	r.err = err
+	r.fail(err)
 	return v
 }
 
@@ -200,7 +228,7 @@ func (r *reader) varint() int64 {
 		return 0
 	}
 	v, err := binary.ReadVarint(r.r)
-	r.err = err
+	r.fail(err)
 	return v
 }
 
@@ -210,40 +238,61 @@ func (r *reader) str() string {
 		return ""
 	}
 	if n > 1<<24 {
-		r.err = fmt.Errorf("graph: unreasonable string length %d", n)
+		r.fail(fmt.Errorf("unreasonable string length %d", n))
 		return ""
 	}
 	buf := make([]byte, n)
-	_, r.err = io.ReadFull(r.r, buf)
+	_, err := io.ReadFull(r.r, buf)
+	r.fail(err)
 	return string(buf)
+}
+
+// strs reads a count-prefixed list of strings.
+func (r *reader) strs() []string {
+	n := r.uvarint()
+	out := make([]string, 0, min(n, maxPrealloc))
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		out = append(out, r.str())
+	}
+	return out
 }
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.uvarint()) }
 
 func (r *reader) tensor() *tensor.Tensor {
-	rank := int(r.uvarint())
-	if r.err != nil || rank > 16 {
-		if rank > 16 {
-			r.err = fmt.Errorf("graph: unreasonable tensor rank %d", rank)
-		}
+	rank := r.uvarint()
+	if r.err == nil && rank > 16 {
+		r.fail(fmt.Errorf("unreasonable tensor rank %d", rank))
+	}
+	if r.err != nil {
 		return nil
 	}
 	shape := make([]int, rank)
 	n := 1
 	for i := range shape {
-		shape[i] = int(r.uvarint())
+		d := r.uvarint()
+		if r.err == nil && (d > maxElems || d != 0 && uint64(n) > maxElems/d) {
+			r.fail(fmt.Errorf("tensor element count overflows at dimension %d (%d)", i, d))
+		}
+		if r.err != nil {
+			return nil
+		}
+		shape[i] = int(d)
 		n *= shape[i]
 	}
-	if r.err != nil {
-		return nil
-	}
-	raw := make([]byte, 4*n)
-	if _, r.err = io.ReadFull(r.r, raw); r.err != nil {
-		return nil
-	}
-	data := make([]float32, n)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+	// Read the data in chunks, so the buffer grows only as far as the
+	// stream actually delivers.
+	data := make([]float32, 0, min(n, maxPrealloc))
+	raw := make([]byte, 4*min(n, maxPrealloc))
+	for len(data) < n {
+		k := min(n-len(data), maxPrealloc)
+		if _, err := io.ReadFull(r.r, raw[:4*k]); err != nil {
+			r.fail(err)
+			return nil
+		}
+		for i := 0; i < k; i++ {
+			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])))
+		}
 	}
 	return tensor.From(data, shape...)
 }
@@ -258,22 +307,22 @@ func (r *reader) attr() Attribute {
 	case AttrString:
 		a.S = r.str()
 	case AttrInts:
-		n := int(r.uvarint())
-		a.Ints = make([]int64, n)
-		for i := range a.Ints {
-			a.Ints[i] = r.varint()
+		n := r.uvarint()
+		a.Ints = make([]int64, 0, min(n, maxPrealloc))
+		for i := uint64(0); i < n && r.err == nil; i++ {
+			a.Ints = append(a.Ints, r.varint())
 		}
 	case AttrFloats:
-		n := int(r.uvarint())
-		a.Floats = make([]float64, n)
-		for i := range a.Floats {
-			a.Floats[i] = r.f64()
+		n := r.uvarint()
+		a.Floats = make([]float64, 0, min(n, maxPrealloc))
+		for i := uint64(0); i < n && r.err == nil; i++ {
+			a.Floats = append(a.Floats, r.f64())
 		}
 	case AttrTensor:
 		a.T = r.tensor()
 	default:
 		if r.err == nil {
-			r.err = fmt.Errorf("graph: unknown attribute type %d", a.Type)
+			r.fail(fmt.Errorf("unknown attribute type %d", a.Type))
 		}
 	}
 	return a
@@ -316,10 +365,10 @@ func (r *reader) model() (*Model, error) {
 	nIn := int(r.uvarint())
 	for i := 0; i < nIn && r.err == nil; i++ {
 		name := r.str()
-		rank := int(r.uvarint())
-		shape := make([]int, rank)
-		for j := range shape {
-			shape[j] = int(r.varint())
+		rank := r.uvarint()
+		shape := make([]int, 0, min(rank, maxPrealloc))
+		for j := uint64(0); j < rank && r.err == nil; j++ {
+			shape = append(shape, int(r.varint()))
 		}
 		m.Inputs = append(m.Inputs, TensorInfo{Name: name, Shape: shape})
 	}
@@ -339,20 +388,12 @@ func (r *reader) model() (*Model, error) {
 	for i := 0; i < nNodes && r.err == nil; i++ {
 		name := r.str()
 		opType := r.str()
-		nI := int(r.uvarint())
-		inputs := make([]string, nI)
-		for j := range inputs {
-			inputs[j] = r.str()
-		}
-		nO := int(r.uvarint())
-		outputs := make([]string, nO)
-		for j := range outputs {
-			outputs[j] = r.str()
-		}
-		nA := int(r.uvarint())
-		attrs := make([]Attribute, nA)
-		for j := range attrs {
-			attrs[j] = r.attr()
+		inputs := r.strs()
+		outputs := r.strs()
+		nA := r.uvarint()
+		attrs := make([]Attribute, 0, min(nA, maxPrealloc))
+		for j := uint64(0); j < nA && r.err == nil; j++ {
+			attrs = append(attrs, r.attr())
 		}
 		if r.err == nil {
 			m.AddNode(NewNode(opType, name, inputs, outputs, attrs...))

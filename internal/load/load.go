@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"deep500/internal/metrics"
 	"deep500/internal/serve"
 )
 
@@ -178,8 +179,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// Percentile is the nearest-rank q-quantile (0 < q ≤ 1) of the served
-// requests' latencies, across the whole run.
+// Percentile is the q-quantile (0 ≤ q ≤ 1) of the served requests'
+// latencies across the whole run, computed by metrics.Percentile.
 func (r *Result) Percentile(q float64) time.Duration {
 	return r.WindowPercentile(0, r.Elapsed+1, q)
 }
@@ -187,24 +188,17 @@ func (r *Result) Percentile(q float64) time.Duration {
 // WindowPercentile restricts Percentile to requests whose arrival offset
 // lies in [from, to). Zero served requests in the window yield 0.
 func (r *Result) WindowPercentile(from, to time.Duration, q float64) time.Duration {
-	var lats []time.Duration
+	var lats []float64
 	for _, pt := range r.Points {
 		if pt.Outcome == OK && pt.At >= from && pt.At < to {
-			lats = append(lats, pt.Latency)
+			lats = append(lats, float64(pt.Latency))
 		}
 	}
 	if len(lats) == 0 {
 		return 0
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	idx := int(q*float64(len(lats))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(lats) {
-		idx = len(lats) - 1
-	}
-	return lats[idx]
+	sort.Float64s(lats)
+	return time.Duration(metrics.Percentile(lats, 100*q))
 }
 
 // Goodput is the served-request rate over the run (answers/second).

@@ -169,7 +169,7 @@ func (o *DropoutOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 	x := inputs[0]
 	if !o.Training || o.Ratio <= 0 {
 		// Inference identity: copy through the allocator (never alias the
-		// input — the memory planner assumes outputs are fresh buffers).
+		// input — the executor releases every output back to the arena).
 		out := o.newOut(x.Shape()...)
 		copy(out.Data(), x.Data())
 		return o.out1(out)

@@ -102,10 +102,9 @@ func FromNode(n *graph.Node) (Operator, error) {
 // install it on every operator that supports it, so steady-state forward
 // passes recycle activation buffers instead of allocating garbage.
 //
-// Contract relied on by the executor's static memory planner: an
-// AllocatorAware operator requests each of its declared outputs through the
-// allocator exactly once per Forward call, in output-declaration order, and
-// never hands an input tensor back as an output.
+// Contract relied on by the executor's arena recycling: an AllocatorAware
+// operator never hands an input tensor back as an output, so releasing
+// every node's outputs at the end of a pass releases each buffer once.
 type AllocatorAware interface {
 	SetAllocator(a tensor.Allocator)
 }
