@@ -6,8 +6,7 @@
 //
 //	d500bench -experiment all                       # everything (paper-scale)
 //	d500bench -experiment fig6conv -quick
-//	d500bench -experiment tables,compile -quick     # comma-separated ids
-//	d500bench -experiment compile -quick -opt       # compile pipeline everywhere
+//	d500bench -experiment tables,gemm -quick        # comma-separated ids
 //	d500bench -experiment tables -quick -format json -out bench.json
 //	d500bench -experiment all -quick -timeout 2m    # deadline-bounded run
 //	d500bench -compare old.json new.json            # regression gate
@@ -40,7 +39,6 @@ func run() int {
 	seed := flag.Uint64("seed", 500, "global RNG seed")
 	exec := flag.String("exec", "sequential", "graph execution backend: sequential, parallel")
 	arena := flag.Bool("arena", false, "recycle activation buffers through a tensor arena")
-	opt := flag.Bool("opt", false, "run the compile pipeline (fusion/folding/DCE) over every experiment model")
 	gemm := flag.String("gemm", "", "GEMM kernel algorithm: naive, blocked, parallel, packed (default packed)")
 	timeout := flag.Duration("timeout", 0, "abort the suite after this duration (0 = no deadline)")
 	format := flag.String("format", "text", "output format: text or json")
@@ -74,9 +72,6 @@ func run() int {
 	if *arena {
 		sessOpts = append(sessOpts, d500.WithArena())
 	}
-	if *opt {
-		sessOpts = append(sessOpts, d500.WithOptimize())
-	}
 	if *gemm != "" {
 		sessOpts = append(sessOpts, d500.WithGemm(*gemm))
 	}
@@ -100,7 +95,7 @@ func run() int {
 	// word (e.g. a value after a boolean flag) silently stops flag parsing,
 	// so reject it loudly instead of running a misconfigured suite.
 	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "d500bench: unexpected argument %q (flags must precede it; boolean flags like -opt take no value)\n", flag.Arg(0))
+		fmt.Fprintf(os.Stderr, "d500bench: unexpected argument %q (flags must precede it; boolean flags like -arena take no value)\n", flag.Arg(0))
 		return 2
 	}
 

@@ -38,6 +38,14 @@ import (
 	"deep500/internal/obs/trace"
 )
 
+// Control-plane connection timeouts: a rank gets readHeaderTimeout to send
+// its request headers, and an idle keep-alive connection is closed after
+// idleTimeout, so stalled ranks cannot pin control-plane goroutines.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	role := flag.String("role", "sim", "sim, launch, ps or worker")
 	scheme := flag.String("scheme", "dsgd", "sim: dsgd, dpsgd, mavg, sparse, pssgd, asgd, stale; launch: asgd, pssgd, dsgd")
@@ -159,7 +167,7 @@ func runLaunch(cfg launchConfig) {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	mux.Handle("/", jobs.Handler(mgr))
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go srv.Serve(ln)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -48,7 +48,6 @@ func main() {
 	backend := flag.String("backend", "reference", "framework backend: reference, tfgo, torchgo, cf2go")
 	execName := flag.String("exec", "sequential", "graph execution backend: sequential, parallel")
 	arena := flag.Bool("arena", false, "recycle activation buffers through a tensor arena")
-	optimize := flag.Bool("opt", false, "compile the graph before execution (fusion/folding/DCE)")
 	gemm := flag.String("gemm", "", "GEMM kernel algorithm: naive, blocked, parallel, packed (default packed)")
 	epochs := flag.Int("epochs", 5, "training epochs")
 	batch := flag.Int("batch", 64, "minibatch size")
@@ -63,11 +62,11 @@ func main() {
 	traceOn := flag.Bool("trace", false, "trace the run (step/epoch/per-op spans); retained traces print as trace lines")
 	traceSlow := flag.Duration("trace-slow", 0, "tail-sample any run at least this slow (implies -trace; 0 = default 250ms)")
 	flag.Parse()
-	// A stray positional (e.g. "d500train -opt adam", where boolean -opt
-	// consumes no value and "adam" stops flag parsing) would otherwise run
-	// silently misconfigured with every later flag ignored.
+	// A stray positional (e.g. "d500train -arena adam", where boolean
+	// -arena consumes no value and "adam" stops flag parsing) would
+	// otherwise run silently misconfigured with every later flag ignored.
 	if flag.NArg() > 0 {
-		fatalIf(fmt.Errorf("unexpected argument %q (boolean flags like -opt and -arena take no value; did you mean -optimizer?)", flag.Arg(0)))
+		fatalIf(fmt.Errorf("unexpected argument %q (boolean flags like -arena take no value; did you mean -optimizer?)", flag.Arg(0)))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -104,9 +103,6 @@ func main() {
 	if *arena {
 		opts = append(opts, d500.WithArena())
 	}
-	if *optimize {
-		opts = append(opts, d500.WithOptimize())
-	}
 	if *gemm != "" {
 		opts = append(opts, d500.WithGemm(*gemm))
 	}
@@ -121,9 +117,6 @@ func main() {
 	sess, err := d500.New(opts...)
 	fatalIf(err)
 	fatalIf(sess.Open(m))
-	if stats, ok := sess.OptimizeStats(); ok {
-		fmt.Println(stats)
-	}
 
 	ts, err := d500.OptimizerByName(*opt, *lr)
 	fatalIf(err)

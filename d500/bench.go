@@ -23,12 +23,11 @@ type BenchConfig struct {
 // coreOptions maps the session configuration onto the experiment options.
 func (s *Session) coreOptions() core.Options {
 	return core.Options{
-		Quick:    s.cfg.quick,
-		Seed:     s.cfg.seed,
-		Exec:     s.cfg.backend.String(),
-		Arena:    s.cfg.arena,
-		Optimize: s.cfg.optimize,
-		Gemm:     s.cfg.gemm,
+		Quick: s.cfg.quick,
+		Seed:  s.cfg.seed,
+		Exec:  s.cfg.backend.String(),
+		Arena: s.cfg.arena,
+		Gemm:  s.cfg.gemm,
 	}
 }
 
@@ -64,7 +63,6 @@ func (s *Session) Bench(ctx context.Context, ids []string, cfg BenchConfig) (*Be
 	env := bench.CaptureEnv()
 	env.ExecBackend = s.cfg.backend.String()
 	env.Arena = s.cfg.arena
-	env.Optimize = s.cfg.optimize
 	env.Gemm = s.cfg.gemm
 	env.Quick = s.cfg.quick
 	env.Seed = s.cfg.seed

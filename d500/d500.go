@@ -30,7 +30,7 @@
 //
 //	srv, err := d500.NewServer(model,
 //		d500.WithMaxBatch(8), d500.WithReplicas(4),
-//		d500.WithSession(d500.WithArena(), d500.WithOptimize()),
+//		d500.WithSession(d500.WithArena()),
 //	)
 //	if err != nil { ... }
 //	http.ListenAndServe(":8500", srv.Handler())

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"deep500/internal/compile"
 	"deep500/internal/executor"
 	"deep500/internal/graph"
 	"deep500/internal/kernels"
@@ -173,10 +172,9 @@ func WithRespawn() ServerOption {
 }
 
 // WithSession forwards Session options to the server's replicas: backend
-// selection, arena recycling, the compile pipeline, a dedicated worker
-// pool and the event hook all mean the same thing they mean for a
-// Session. Shared resources are resolved once — the replicas share one
-// worker pool, one arena and one compiled model.
+// selection, arena recycling, a dedicated worker pool and the event hook
+// all mean the same thing they mean for a Session. Shared resources are
+// resolved once — the replicas share one worker pool and one arena.
 func WithSession(opts ...Option) ServerOption {
 	return func(c *serverConfig) error {
 		c.sess = append(c.sess, opts...)
@@ -192,18 +190,14 @@ func WithSession(opts ...Option) ServerOption {
 // (see the Session concurrency contract).
 type Server struct {
 	inner  *serve.Server
-	name   string // model name, the per-tenant metrics label
-	stats  OptimizeStats
-	opt    bool
+	name   string        // model name, the per-tenant metrics label
 	arena  *tensor.Arena // replica-shared arena, nil without WithArena
 	tracer *Tracer       // replica-shared tracer, nil when tracing is off
 }
 
 // NewServer builds a serving pool over the model. The replicas are
 // configured through WithSession (same vocabulary as New) and share the
-// model's parameter tensors, one kernel worker pool and one tensor arena;
-// the compile pipeline, when enabled, runs once and every replica serves
-// the compiled graph.
+// model's parameter tensors, one kernel worker pool and one tensor arena.
 //
 // Every executed micro-batch is reported to the session hook (WithSession
 // + WithHook) as a ServeSample event.
@@ -231,24 +225,6 @@ func NewServer(m *graph.Model, opts ...ServerOption) (*Server, error) {
 	}
 
 	s := &Server{}
-	served := m
-	if base.cfg.optimize {
-		om, rep, err := compile.Optimize(m, compile.Defaults())
-		if err != nil {
-			return nil, fmt.Errorf("d500: compiling model %q for serving: %w", m.Name, err)
-		}
-		served = om
-		s.opt = true
-		s.stats = OptimizeStats{
-			NodesBefore:        rep.NodesBefore,
-			NodesAfter:         rep.NodesAfter,
-			Folded:             rep.Folded,
-			Eliminated:         rep.Eliminated,
-			Fused:              rep.Fused,
-			PrunedInitializers: rep.PrunedInitializers,
-		}
-	}
-
 	// Shared replica resources: one pool, one arena.
 	pool := base.pool
 	var arena *tensor.Arena
@@ -265,9 +241,9 @@ func NewServer(m *graph.Model, opts ...ServerOption) (*Server, error) {
 			execOpts = append(execOpts, executor.WithArena(arena))
 		}
 		if base.prof != nil {
-			return base.prof.NewExecutor(served, execOpts...)
+			return base.prof.NewExecutor(m, execOpts...)
 		}
-		return executor.New(served, execOpts...)
+		return executor.New(m, execOpts...)
 	}
 
 	var observe func(serve.Sample)
@@ -340,10 +316,6 @@ func (s *Server) Handler() http.Handler { return s.inner.Handler() }
 // rows / batches, mean batch occupancy, rejections, and per-batch queue
 // wait and execution means.
 func (s *Server) Stats() ServerStats { return s.inner.Stats() }
-
-// OptimizeStats reports what the compile pipeline did to the served
-// model; ok is false when the server was built without WithOptimize.
-func (s *Server) OptimizeStats() (stats OptimizeStats, ok bool) { return s.stats, s.opt }
 
 // Close stops admission (Infer then returns ErrServerClosed), drains the
 // queued requests and waits for the replicas to finish. If ctx expires

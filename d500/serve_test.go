@@ -43,7 +43,7 @@ func TestServerOptionValidation(t *testing.T) {
 }
 
 // TestServerServesAndObserves drives concurrent requests through a fully
-// configured server (parallel backend, arena, compile pipeline, replicas)
+// configured server (parallel backend, arena, replicas)
 // and checks results against a plain Session plus the ServeSample stream.
 func TestServerServesAndObserves(t *testing.T) {
 	m := serveModel()
@@ -67,7 +67,6 @@ func TestServerServesAndObserves(t *testing.T) {
 		WithSession(
 			WithBackend(Parallel),
 			WithArena(),
-			WithOptimize(),
 			WithHook(func(e Event) {
 				if s, ok := e.(ServeSample); ok {
 					mu.Lock()
@@ -79,9 +78,6 @@ func TestServerServesAndObserves(t *testing.T) {
 	)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stats, ok := srv.OptimizeStats(); !ok || stats.Fused == 0 {
-		t.Fatalf("compile pipeline did not run for serving: %+v ok=%v", stats, ok)
 	}
 
 	const requests = 8

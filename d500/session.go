@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"deep500/internal/bench"
-	"deep500/internal/compile"
 	"deep500/internal/executor"
 	"deep500/internal/frameworks"
 	"deep500/internal/graph"
@@ -153,9 +152,6 @@ func (s *Session) execOptions() []executor.Option {
 	if s.cfg.arena {
 		opts = append(opts, executor.WithArena(tensor.NewArena()))
 	}
-	if s.cfg.optimize {
-		opts = append(opts, executor.WithOptimize(compile.Defaults()))
-	}
 	if s.cfg.gemm != "" {
 		// The name was validated at New; ParseGemmAlgo cannot fail here.
 		algo, _ := kernels.ParseGemmAlgo(s.cfg.gemm)
@@ -185,49 +181,6 @@ func (s *Session) Open(m *graph.Model) error {
 	}
 	s.model, s.exec = m, e
 	return nil
-}
-
-// OptimizeStats summarizes what the compile pipeline did to the open model
-// (see WithOptimize). It is the public mirror of the internal compile
-// report, so consumers never import internal/compile.
-type OptimizeStats struct {
-	// NodesBefore / NodesAfter are graph node counts around the pipeline.
-	NodesBefore, NodesAfter int
-	// Folded nodes were evaluated at compile time into initializers.
-	Folded int
-	// Eliminated nodes were unreachable from the declared outputs.
-	Eliminated int
-	// Fused counts operator chains collapsed into single fused nodes.
-	Fused int
-	// PrunedInitializers counts unreferenced initializers dropped.
-	PrunedInitializers int
-}
-
-// String renders the one-line summary the binaries print under -opt.
-func (s OptimizeStats) String() string {
-	return fmt.Sprintf("optimized: %d → %d nodes (folded %d, eliminated %d, fused %d chains)",
-		s.NodesBefore, s.NodesAfter, s.Folded, s.Eliminated, s.Fused)
-}
-
-// OptimizeStats reports the compile-pipeline rewrite statistics of the open
-// model. ok is false when no model is open or the session was built without
-// WithOptimize.
-func (s *Session) OptimizeStats() (stats OptimizeStats, ok bool) {
-	if s.exec == nil {
-		return OptimizeStats{}, false
-	}
-	rep := s.exec.CompileReport()
-	if rep == nil {
-		return OptimizeStats{}, false
-	}
-	return OptimizeStats{
-		NodesBefore:        rep.NodesBefore,
-		NodesAfter:         rep.NodesAfter,
-		Folded:             rep.Folded,
-		Eliminated:         rep.Eliminated,
-		Fused:              rep.Fused,
-		PrunedInitializers: rep.PrunedInitializers,
-	}, true
 }
 
 // Network exposes the live network of the open model — parameters,

@@ -63,7 +63,6 @@ type Environment struct {
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	ExecBackend string `json:"exec_backend,omitempty"`
 	Arena       bool   `json:"arena"`
-	Optimize    bool   `json:"optimize"`
 	Gemm        string `json:"gemm,omitempty"`
 	Quick       bool   `json:"quick"`
 	Seed        uint64 `json:"seed"`

@@ -64,8 +64,6 @@ func RegisterExperiments(s *bench.Suite, o Options) {
 		Run: func(c *bench.Context) error { return runValidateExp(c, o) }})
 	s.Register(bench.Definition{ID: "backend", Title: "Execution-backend micro-benchmarks",
 		Run: func(c *bench.Context) error { return runBackendExp(c, o) }})
-	s.Register(bench.Definition{ID: "compile", Title: "Graph compilation: fused vs unfused (§III-A Use Case 1)",
-		Run: func(c *bench.Context) error { return runCompileExp(c, o) }})
 	s.Register(bench.Definition{ID: "serve", Title: "Serving: micro-batched vs single-request inference",
 		Run: func(c *bench.Context) error { return runServeExp(c, o) }})
 	s.Register(bench.Definition{ID: "gemm", Title: "GEMM kernels: packed register-tiled sweep",

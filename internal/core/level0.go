@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"deep500/internal/compile"
 	"deep500/internal/executor"
 	"deep500/internal/frameworks"
 	"deep500/internal/graph"
@@ -28,9 +27,6 @@ type Options struct {
 	// Arena installs a fresh tensor buffer pool into every executor an
 	// experiment constructs (mirrors d500train's -arena flag).
 	Arena bool
-	// Optimize runs the compile pipeline (fusion/folding/DCE) over every
-	// model an experiment constructs (mirrors the -opt flag).
-	Optimize bool
 	// Gemm overrides the GEMM kernel algorithm on every GEMM-backed operator
 	// an experiment constructs (mirrors the -gemm flag): "naive", "blocked",
 	// "parallel" or "packed". Empty keeps the registry default (packed).
@@ -49,9 +45,6 @@ func (o Options) execOpts() ([]executor.Option, error) {
 	opts := []executor.Option{executor.WithBackend(b)}
 	if o.Arena {
 		opts = append(opts, executor.WithArena(tensor.NewArena()))
-	}
-	if o.Optimize {
-		opts = append(opts, executor.WithOptimize(compile.Defaults()))
 	}
 	if o.Gemm != "" {
 		algo, ok := kernels.ParseGemmAlgo(o.Gemm)

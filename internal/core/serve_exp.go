@@ -80,8 +80,8 @@ func RunServeBench(ctx context.Context, o Options) ([]ServeBenchRow, error) {
 	// whose per-request overhead rivals their compute.
 	m := models.MLP(models.Config{Classes: 10, Channels: 1, Height: 8, Width: 8, Seed: o.seed()}, 8, 8, 8, 8)
 
-	// execOpts carries the session's backend, arena and compile-pipeline
-	// selection, so -exec/-arena/-opt apply to serving like everywhere else.
+	// execOpts carries the session's backend, arena and GEMM selection, so
+	// -exec/-arena/-gemm apply to serving like everywhere else.
 	execOpts, err := o.execOpts()
 	if err != nil {
 		return nil, err
@@ -162,7 +162,7 @@ func RunServeBench(ctx context.Context, o Options) ([]ServeBenchRow, error) {
 						warmErrs[i] = fmt.Errorf("serve: variant %s lost output %q", v.name, name)
 						return
 					}
-					if d := maxAbsDiffT(w, g); d > 1e-4 {
+					if d := tensor.Compare(g, w).LInf; d > 1e-4 {
 						warmErrs[i] = fmt.Errorf("serve: variant %s output %q diverges from per-item inference: max |Δ| = %g", v.name, name, d)
 						return
 					}

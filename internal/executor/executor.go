@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"deep500/internal/compile"
 	"deep500/internal/graph"
 	"deep500/internal/kernels"
 	"deep500/internal/obs/trace"
@@ -62,12 +61,8 @@ type Executor struct {
 	// gemmAlgo, when non-nil, overrides the GEMM kernel algorithm on every
 	// GEMM-backed operator at construction (WithGemm).
 	gemmAlgo *kernels.GemmAlgo
-	// optimize, when non-nil, runs the compile pipeline over the model at
-	// construction; compileReport records what it rewrote.
-	optimize      *compile.Options
-	compileReport *compile.Report
-	depOnce       sync.Once
-	deps          *depInfo
+	depOnce  sync.Once
+	deps     *depInfo
 	// stateMu guards the per-pass maps, the memory model and the FLOP
 	// counter against concurrent node completions under ParallelBackend.
 	stateMu sync.Mutex
@@ -120,27 +115,14 @@ func WithArena(a *tensor.Arena) Option {
 }
 
 // WithGemm overrides the GEMM kernel algorithm on every GEMM-backed
-// operator (Gemm, MatMul, FusedGemmAct) at construction, replacing the
+// operator (Gemm, MatMul, RNNTanhCell) at construction, replacing the
 // registry default. Use kernels.ParseGemmAlgo to resolve CLI flag values.
 func WithGemm(algo kernels.GemmAlgo) Option {
 	return func(e *Executor) { e.gemmAlgo = &algo }
 }
 
-// WithOptimize runs the compile pipeline (constant folding, dead-node
-// elimination, operator fusion — see internal/compile) over the model
-// before the executor is built, so *both* execution backends consume the
-// optimized graph: the sequential interpreter dispatches fewer nodes, and
-// the parallel scheduler's dependency DAG shrinks with them. The input
-// model is not mutated; parameter tensors are shared between the original
-// and the compiled graph, so training an optimized executor updates the
-// caller's model too.
-func WithOptimize(o compile.Options) Option {
-	return func(e *Executor) { e.optimize = &o }
-}
-
 // New builds a reference executor for the model. It validates the graph,
-// applies the compile pipeline when WithOptimize is set, instantiates one
-// operator per node and fails on unknown op types.
+// instantiates one operator per node and fails on unknown op types.
 func New(m *graph.Model, opts ...Option) (*Executor, error) {
 	e := &Executor{
 		nodeOps: make(map[*graph.Node]ops.Operator),
@@ -149,13 +131,7 @@ func New(m *graph.Model, opts ...Option) (*Executor, error) {
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.optimize != nil {
-		om, rep, err := compile.Optimize(m, *e.optimize)
-		if err != nil {
-			return nil, err
-		}
-		m, e.compileReport = om, rep
-	} else if err := m.Validate(); err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	order, err := m.TopoSort()
@@ -196,10 +172,6 @@ func MustNew(m *graph.Model, opts ...Option) *Executor {
 
 // Backend returns the active execution backend.
 func (e *Executor) Backend() ExecBackend { return e.backend }
-
-// CompileReport returns the compile pipeline's rewrite report, or nil when
-// the executor was built without WithOptimize.
-func (e *Executor) CompileReport() *compile.Report { return e.compileReport }
 
 // Network returns the live network.
 func (e *Executor) Network() *Network { return e.net }
@@ -337,16 +309,9 @@ func (e *Executor) execNode(n *graph.Node) error {
 		}
 		ins[i] = t
 	}
-	// Workspace accounting for convolutions (fused ones delegate to their
-	// embedded Conv2DOp, so -opt graphs charge the same im2col workspace).
+	// Workspace accounting for convolutions.
 	var workspace int64
-	var conv *ops.Conv2DOp
-	switch cop := op.(type) {
-	case *ops.Conv2DOp:
-		conv = cop
-	case *ops.FusedConvReluOp:
-		conv = cop.ConvOp()
-	}
+	conv, _ := op.(*ops.Conv2DOp)
 	if conv != nil && e.Memory != nil {
 		x, w := ins[0], ins[1]
 		cs := kernels.ConvShape{N: x.Dim(0), C: x.Dim(1), H: x.Dim(2), W: x.Dim(3),

@@ -62,6 +62,16 @@ func TestMissingFeedError(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBrokenModel asserts graph validation errors surface from
+// New rather than from the first pass.
+func TestNewRejectsBrokenModel(t *testing.T) {
+	m := xorModel()
+	m.Nodes[0].Inputs[0] = "undefined-tensor"
+	if _, err := New(m); err == nil {
+		t.Fatal("expected validation error from New")
+	}
+}
+
 func TestBackpropGradientsAvailable(t *testing.T) {
 	e := MustNew(xorModel())
 	x, labels := xorData()

@@ -4,13 +4,11 @@
 // a device memory model used to study out-of-memory behaviour (paper §IV-D).
 //
 // Public entry points: New (construction options WithBackend, WithArena,
-// WithOptimize), the Executor's Inference / InferenceAndBackprop methods
+// WithGemm), the Executor's Inference / InferenceAndBackprop methods
 // behind the GraphExecutor interface, Network (parameters and gradients),
 // Events, MemoryModel, and ExecBackend — the pluggable forward-pass
 // scheduling strategy (SequentialBackend, the paper's "verified yet slow"
 // reference; ParallelBackend, the dependency-counting dataflow scheduler).
-// WithOptimize routes the model through internal/compile before the
-// executor is built, so both backends consume the optimized graph.
 package executor
 
 import (

@@ -2,13 +2,24 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
 	"deep500/internal/obs/trace"
 )
 
-// Handler builds the trainer-service HTTP API over a Manager:
+// Request-body bounds. Job specs and rank callbacks are small JSON
+// objects; a span upload carries one trace's span buffer, which holds
+// trace.DefaultMaxSpans spans unless the tracer is configured wider.
+const (
+	maxControlBodyBytes = 1 << 20
+	maxSpansBodyBytes   = 8 << 20
+)
+
+// Handler builds the trainer-service HTTP API over a Manager. Every POST
+// body is read through decodeBody, so no request can make the control
+// plane buffer more than its route's bound:
 //
 //	POST   /v1/jobs                 submit a Spec, returns the Job
 //	GET    /v1/jobs                 list jobs
@@ -25,8 +36,7 @@ func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+		if !decodeBody(w, r, maxControlBodyBytes, "spec", &spec) {
 			return
 		}
 		// An inbound d500-trace header grafts the job onto the caller's
@@ -79,8 +89,7 @@ func Handler(m *Manager) http.Handler {
 			Addr string `json:"addr"`
 			PID  int    `json:"pid"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, maxControlBodyBytes, "registration", &body) {
 			return
 		}
 		if err := m.Register(r.PathValue("id"), body.Rank, body.Addr, body.PID); err != nil {
@@ -95,8 +104,7 @@ func Handler(m *Manager) http.Handler {
 			Step int     `json:"step"`
 			Loss float64 `json:"loss"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, maxControlBodyBytes, "heartbeat", &body) {
 			return
 		}
 		if err := m.Heartbeat(r.PathValue("id"), body.Rank, body.Step, body.Loss); err != nil {
@@ -111,8 +119,7 @@ func Handler(m *Manager) http.Handler {
 			Step int     `json:"step"`
 			Loss float64 `json:"loss"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, maxControlBodyBytes, "completion", &body) {
 			return
 		}
 		if err := m.Done(r.PathValue("id"), body.Rank, body.Step, body.Loss); err != nil {
@@ -125,8 +132,7 @@ func Handler(m *Manager) http.Handler {
 		var body struct {
 			Spans []trace.SpanData `json:"spans"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding spans: %w", err))
+		if !decodeBody(w, r, maxSpansBodyBytes, "spans", &body) {
 			return
 		}
 		if err := m.IngestSpans(r.PathValue("id"), body.Spans); err != nil {
@@ -151,4 +157,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// On failure it writes the error response — 413 when the body exceeds
+// limit, 400 when it does not decode — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, fmt.Errorf("decoding %s: %w", what, err))
+	return false
 }

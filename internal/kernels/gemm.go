@@ -7,13 +7,12 @@
 // — is this repository's "DeepBench baseline" (§V-B of the paper): the
 // lowest achievable runtime against which framework overhead is measured.
 //
-// Public entry points: Gemm (with GemmAlgo selection) and the transposed
-// variants, Conv2D (ConvAlgo: direct, im2col, Winograd) with ConvShape
-// geometry, the pooling and activation kernels, the fused optimizer
-// kernels (AdamFused, MomentumFused, …, §III-A Use Case 1) and the fused
-// graph-operator epilogues (BiasAct, BiasReLUFused, ActGradFromOutput)
-// used by the compile pipeline's fusion pass. Pool is the single shared
-// worker budget every parallel code path in the repository draws from.
+// Public entry points: Gemm (with GemmAlgo selection) and GemmT, its
+// transposed-operand form, Conv2D (ConvAlgo: direct, im2col, Winograd)
+// with ConvShape geometry, the pooling and activation kernels, and the
+// fused optimizer kernels (AdamFused, MomentumFused, …, §III-A Use Case
+// 1). Pool is the single shared worker budget every parallel code path in
+// the repository draws from.
 //
 // The default GEMM algorithm is GemmPacked, the BLIS-style packed
 // register-tiled kernel (gemm_packed.go): operands are repacked into
@@ -114,10 +113,36 @@ func GemmT(algo GemmAlgo, a, b, c []float32, m, k, n int, transA, transB bool) {
 		return
 	}
 	switch {
-	case transA && !transB:
-		gemmTransALoop(a, b, c, m, k, n)
-	case !transA && transB:
-		gemmTransBLoop(a, b, c, m, k, n)
+	case transA && !transB: // C = Σ_p A[p,:]ᵀ·B[p,:], rank-1 updates
+		for i := 0; i < m*n; i++ {
+			c[i] = 0
+		}
+		for p := 0; p < k; p++ {
+			ap := a[p*m : (p+1)*m]
+			bp := b[p*n : (p+1)*n]
+			for i, av := range ap {
+				if av == 0 {
+					continue
+				}
+				ci := c[i*n : (i+1)*n]
+				for j, bv := range bp {
+					ci[j] += av * bv
+				}
+			}
+		}
+	case !transA && transB: // C[i,j] = A[i,:]·B[j,:]
+		for i := 0; i < m; i++ {
+			ai := a[i*k : (i+1)*k]
+			ci := c[i*n : (i+1)*n]
+			for j := 0; j < n; j++ {
+				bj := b[j*k : (j+1)*k]
+				var s float32
+				for p := range ai {
+					s += ai[p] * bj[p]
+				}
+				ci[j] = s
+			}
+		}
 	default: // both: C[i,j] = Σ_p A[p,i]·B[j,p]
 		for i := 0; i < m; i++ {
 			ci := c[i*n : (i+1)*n]
@@ -212,63 +237,6 @@ func gemmParallel(a, b, c []float32, m, k, n int) {
 		i0 := bi * rowsPer
 		gemmBlockedRange(a, b, c, m, k, n, i0, min(i0+rowsPer, m))
 	})
-}
-
-// GemmTransB computes C = A·Bᵀ where A is M×K and B is N×K (both row-major),
-// producing M×N. Used by backward passes of dense layers. Large problems
-// route through the packed kernel, which folds the transpose into packing.
-func GemmTransB(a, b, c []float32, m, k, n int) {
-	if int64(m)*int64(k)*int64(n) >= packedMinVol {
-		gemmPacked(a, b, c, m, k, n, false, true)
-		return
-	}
-	gemmTransBLoop(a, b, c, m, k, n)
-}
-
-func gemmTransBLoop(a, b, c []float32, m, k, n int) {
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b[j*k : (j+1)*k]
-			var s float32
-			for p := range ai {
-				s += ai[p] * bj[p]
-			}
-			ci[j] = s
-		}
-	}
-}
-
-// GemmTransA computes C = Aᵀ·B where A is K×M and B is K×N (both row-major),
-// producing M×N. Used by weight-gradient computation of dense layers. Large
-// problems route through the packed kernel, which folds the transpose into
-// packing.
-func GemmTransA(a, b, c []float32, m, k, n int) {
-	if int64(m)*int64(k)*int64(n) >= packedMinVol {
-		gemmPacked(a, b, c, m, k, n, true, false)
-		return
-	}
-	gemmTransALoop(a, b, c, m, k, n)
-}
-
-func gemmTransALoop(a, b, c []float32, m, k, n int) {
-	for i := 0; i < m*n; i++ {
-		c[i] = 0
-	}
-	for p := 0; p < k; p++ {
-		ap := a[p*m : (p+1)*m]
-		bp := b[p*n : (p+1)*n]
-		for i, av := range ap {
-			if av == 0 {
-				continue
-			}
-			ci := c[i*n : (i+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
 }
 
 func min(a, b int) int {

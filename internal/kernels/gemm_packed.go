@@ -11,7 +11,7 @@ package kernels
 //
 // Because packing re-gathers elements anyway, transposed operands cost
 // nothing extra: packA/packB just swap their index arithmetic, which is why
-// GemmTransA / GemmTransB route here and stop paying for strided access.
+// transposed GemmT calls route here and stop paying for strided access.
 // Edge panels are zero-padded in both the row/column and depth directions,
 // so the micro-kernel never branches on bounds and its unrolled k loop
 // needs no remainder handling.

@@ -84,40 +84,6 @@ func TestGemmTRagged(t *testing.T) {
 	}
 }
 
-// TestGemmTransVariantsRagged exercises the exported GemmTransA/GemmTransB
-// entry points across their packed/loop routing threshold.
-func TestGemmTransVariantsRagged(t *testing.T) {
-	rng := tensor.NewRNG(13)
-	for _, m := range raggedDims {
-		for _, k := range raggedDims {
-			for _, n := range raggedDims {
-				if m > 65 || n > 65 { // keep the cubic sweep affordable
-					continue
-				}
-				a := randSlice(rng, m*k)
-				b := randSlice(rng, k*n)
-				want := gemmRef(a, b, m, k, n)
-
-				// GemmTransB: C = A·(Bᵀ)ᵀ with B stored n×k.
-				bt := transpose(b, k, n)
-				c := make([]float32, m*n)
-				GemmTransB(a, bt, c, m, k, n)
-				if d := maxAbsDiff(c, want); d > 1e-3*float64(k) {
-					t.Fatalf("GemmTransB %dx%dx%d: max diff %g", m, k, n, d)
-				}
-
-				// GemmTransA: C = (Aᵀ)ᵀ·B with A stored k×m.
-				at := transpose(a, m, k)
-				c2 := make([]float32, m*n)
-				GemmTransA(at, b, c2, m, k, n)
-				if d := maxAbsDiff(c2, want); d > 1e-3*float64(k) {
-					t.Fatalf("GemmTransA %dx%dx%d: max diff %g", m, k, n, d)
-				}
-			}
-		}
-	}
-}
-
 // TestGemmPackedConcurrent runs many packed GEMMs from concurrent
 // goroutines against a widened worker pool, so the race detector can see
 // pack-buffer recycling and shared packed-B panels misbehave.

@@ -76,44 +76,6 @@ func TestGemmPanicsOnShortBuffer(t *testing.T) {
 	Gemm(GemmNaive, make([]float32, 3), make([]float32, 4), make([]float32, 4), 2, 2, 2)
 }
 
-func TestGemmTransB(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	m, k, n := 7, 11, 5
-	a := randSlice(rng, m*k)
-	b := randSlice(rng, n*k) // B is n×k
-	bt := make([]float32, k*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < k; j++ {
-			bt[j*n+i] = b[i*k+j]
-		}
-	}
-	want := gemmRef(a, bt, m, k, n)
-	c := make([]float32, m*n)
-	GemmTransB(a, b, c, m, k, n)
-	if d := maxAbsDiff(c, want); d > 1e-4 {
-		t.Fatalf("GemmTransB diff %g", d)
-	}
-}
-
-func TestGemmTransA(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	m, k, n := 6, 9, 4
-	a := randSlice(rng, k*m) // A is k×m
-	b := randSlice(rng, k*n)
-	at := make([]float32, m*k)
-	for i := 0; i < k; i++ {
-		for j := 0; j < m; j++ {
-			at[j*k+i] = a[i*m+j]
-		}
-	}
-	want := gemmRef(at, b, m, k, n)
-	c := make([]float32, m*n)
-	GemmTransA(a, b, c, m, k, n)
-	if d := maxAbsDiff(c, want); d > 1e-4 {
-		t.Fatalf("GemmTransA diff %g", d)
-	}
-}
-
 func TestGemmFLOPs(t *testing.T) {
 	if GemmFLOPs(2, 3, 4) != 48 {
 		t.Fatalf("GemmFLOPs = %d", GemmFLOPs(2, 3, 4))

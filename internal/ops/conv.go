@@ -72,12 +72,12 @@ func (o *Conv2DOp) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tensor)
 		gOut := g.Data()[n*s.M*spatial : (n+1)*s.M*spatial]
 		kernels.Im2Col(s, img, col)
 		// dW += gOut (M×OHW) · colᵀ (OHW×CKK)
-		kernels.GemmTransB(gOut, col, perImageGW, s.M, spatial, ckk)
+		kernels.GemmT(kernels.GemmPacked, gOut, col, perImageGW, s.M, spatial, ckk, false, true)
 		for i, v := range perImageGW {
 			gradWAcc[i] += v
 		}
 		// dcol = Wᵀ (CKK×M) · gOut (M×OHW)
-		kernels.GemmTransA(w.Data(), gOut, gradColBuf, ckk, s.M, spatial)
+		kernels.GemmT(kernels.GemmPacked, w.Data(), gOut, gradColBuf, ckk, s.M, spatial, true, false)
 		kernels.Col2Im(s, gradColBuf, gradX.Data()[n*s.C*s.H*s.W:])
 	}
 	copy(gradW.Data(), gradWAcc)

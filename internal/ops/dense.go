@@ -55,7 +55,13 @@ func (o *GemmOp) Forward(inputs []*tensor.Tensor) []*tensor.Tensor {
 	out := o.newOut(o.outShape(m, n)...)
 	kernels.GemmT(o.Algo, a.Data(), b.Data(), out.Data(), m, k, n, o.TransA, o.TransB)
 	if len(inputs) > 2 && inputs[2] != nil {
-		kernels.BiasAct(m, n, out.Data(), inputs[2].Data(), kernels.ActNone)
+		bias, y := inputs[2].Data(), out.Data()
+		for r := 0; r < m; r++ {
+			row := y[r*n : (r+1)*n]
+			for j := range row {
+				row[j] += bias[j]
+			}
+		}
 	}
 	return o.out1(out)
 }

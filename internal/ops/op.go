@@ -14,9 +14,7 @@
 // Public entry points: the Operator interface, Register / Registered /
 // RegisteredOps (the D500_REGISTER_OP analogue), FromNode (the node →
 // operator factory executors use), and the optional capability interfaces
-// TrainingAware and AllocatorAware. The fused operators FusedGemmAct and
-// FusedConvRelu (fusedact.go) are produced by the compile pipeline's
-// fusion pass (internal/compile), never by hand-built models.
+// TrainingAware, AllocatorAware and GemmAlgoAware.
 package ops
 
 import (
@@ -110,7 +108,7 @@ type AllocatorAware interface {
 }
 
 // GemmAlgoAware is implemented by operators backed by the GEMM kernels
-// (Gemm, MatMul, FusedGemmAct). Executors use it to apply a session-wide
+// (Gemm, MatMul, RNNTanhCell). Executors use it to apply a session-wide
 // algorithm override (WithGemm / the -gemm flag) after construction.
 type GemmAlgoAware interface {
 	SetGemmAlgo(a kernels.GemmAlgo)

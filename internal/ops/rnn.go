@@ -53,14 +53,14 @@ func (o *RNNTanhCell) Backward(gradOutputs, fwdInputs, fwdOutputs []*tensor.Tens
 
 	// dX = dPre · Wxᵀ ; dH = dPre · Whᵀ
 	gradX := tensor.New(n, idim)
-	kernels.GemmTransB(dPre.Data(), wx.Data(), gradX.Data(), n, hdim, idim)
+	kernels.GemmT(kernels.GemmPacked, dPre.Data(), wx.Data(), gradX.Data(), n, hdim, idim, false, true)
 	gradH := tensor.New(n, h.Dim(1))
-	kernels.GemmTransB(dPre.Data(), wh.Data(), gradH.Data(), n, hdim, h.Dim(1))
+	kernels.GemmT(kernels.GemmPacked, dPre.Data(), wh.Data(), gradH.Data(), n, hdim, h.Dim(1), false, true)
 	// dWx = Xᵀ · dPre ; dWh = Hᵀ · dPre
 	gradWx := tensor.New(idim, hdim)
-	kernels.GemmTransA(x.Data(), dPre.Data(), gradWx.Data(), idim, n, hdim)
+	kernels.GemmT(kernels.GemmPacked, x.Data(), dPre.Data(), gradWx.Data(), idim, n, hdim, true, false)
 	gradWh := tensor.New(h.Dim(1), hdim)
-	kernels.GemmTransA(h.Data(), dPre.Data(), gradWh.Data(), h.Dim(1), n, hdim)
+	kernels.GemmT(kernels.GemmPacked, h.Data(), dPre.Data(), gradWh.Data(), h.Dim(1), n, hdim, true, false)
 	gradB := tensor.SumAxis0(dPre)
 	return []*tensor.Tensor{gradX, gradH, gradWx, gradWh, gradB}
 }

@@ -314,8 +314,7 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Model returns the served model (the compiled clone when the executors
-// were built with the compile pipeline enabled).
+// Model returns the served model.
 func (s *Server) Model() *graph.Model { return s.model }
 
 // Infer runs one inference request through the micro-batching pipeline
@@ -776,9 +775,20 @@ func (s *Server) execute(id int, e executor.GraphExecutor, batch []*request) {
 	batchSpan.AddAttrs(trace.Duration("queue_wait", wait))
 	batchSpan.End()
 
+	// Every result is built before any request is answered, so a split
+	// failure fails the whole batch like a failed pass does.
+	var results []map[string]*tensor.Tensor
+	if err == nil {
+		results, err = splitOutputs(outs, live, rows)
+		if err != nil {
+			err = fmt.Errorf("serve: splitting outputs: %w", err)
+		}
+	} else {
+		err = fmt.Errorf("serve: batched inference failed: %w", err)
+	}
 	if err != nil {
 		for _, r := range live {
-			r.finish(nil, fmt.Errorf("serve: batched inference failed: %w", err))
+			r.finish(nil, err)
 		}
 		s.statsMu.Lock()
 		s.stats.fails += uint64(len(live))
@@ -786,38 +796,8 @@ func (s *Server) execute(id int, e executor.GraphExecutor, batch []*request) {
 		return
 	}
 
-	// Split row-aligned outputs per request; copy batch-scoped ones.
-	off := 0
-	var splitErr error
-	for _, r := range live {
-		res := make(map[string]*tensor.Tensor, len(outs))
-		for name, t := range outs {
-			if t.Rank() >= 1 && t.Dim(0) == rows {
-				part, err := t.SliceRows(off, off+r.rows)
-				if err != nil {
-					splitErr = err
-					break
-				}
-				res[name] = part
-				continue
-			}
-			res[name] = t.Clone()
-		}
-		if splitErr != nil {
-			break
-		}
-		off += r.rows
-		r.finish(res, nil)
-	}
-	if splitErr != nil { // unreachable in practice; fail the whole batch loudly
-		for _, r := range live {
-			if !r.answered {
-				r.finish(nil, fmt.Errorf("serve: splitting outputs: %w", splitErr))
-			}
-		}
-		return
-	}
-
+	// Count the batch before answering it: a client that reads Stats right
+	// after its reply must see its own request.
 	s.statsMu.Lock()
 	s.stats.requests += uint64(len(live))
 	s.stats.rows += uint64(rows)
@@ -825,6 +805,9 @@ func (s *Server) execute(id int, e executor.GraphExecutor, batch []*request) {
 	s.stats.queueWait += wait
 	s.stats.execTime += execTime
 	s.statsMu.Unlock()
+	for i, r := range live {
+		r.finish(results[i], nil)
+	}
 
 	if s.opts.Observe != nil {
 		s.observeMu.Lock()
@@ -837,6 +820,31 @@ func (s *Server) execute(id int, e executor.GraphExecutor, batch []*request) {
 		})
 		s.observeMu.Unlock()
 	}
+}
+
+// splitOutputs cuts a batch's outputs back into per-request results:
+// row-aligned outputs are sliced to each request's rows, batch-scoped ones
+// (a batch-mean loss) are cloned into every result.
+func splitOutputs(outs map[string]*tensor.Tensor, batch []*request, rows int) ([]map[string]*tensor.Tensor, error) {
+	results := make([]map[string]*tensor.Tensor, len(batch))
+	off := 0
+	for i, r := range batch {
+		res := make(map[string]*tensor.Tensor, len(outs))
+		for name, t := range outs {
+			if t.Rank() >= 1 && t.Dim(0) == rows {
+				part, err := t.SliceRows(off, off+r.rows)
+				if err != nil {
+					return nil, err
+				}
+				res[name] = part
+				continue
+			}
+			res[name] = t.Clone()
+		}
+		off += r.rows
+		results[i] = res
+	}
+	return results, nil
 }
 
 // assembleFeeds concatenates the batch's per-request feeds along the row

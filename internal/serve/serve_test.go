@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"deep500/internal/compile"
 	"deep500/internal/executor"
 	"deep500/internal/graph"
 	"deep500/internal/kernels"
@@ -65,8 +64,8 @@ func execFactory(m *graph.Model, opts ...executor.Option) func() (executor.Graph
 
 // TestBatchedConformance is the serving acceptance gate: outputs of
 // micro-batched execution must be tolerance-equal to per-item Infer on
-// every zoo model, on both execution backends, with the compile pipeline
-// on and off (and the arena on the heaviest variant), under -race.
+// every zoo model, on both execution backends (and with the arena on the
+// parallel backend), under -race.
 func TestBatchedConformance(t *testing.T) {
 	const tol = 1e-5
 	sharedPool := kernels.NewPool(4)
@@ -87,13 +86,11 @@ func TestBatchedConformance(t *testing.T) {
 			}
 
 			variants := map[string][]executor.Option{
-				"sequential":     nil,
-				"sequential+opt": {executor.WithOptimize(compile.Defaults())},
+				"sequential": nil,
 				"parallel": {
 					executor.WithBackend(executor.NewParallelBackend(sharedPool))},
-				"parallel+opt+arena": {
+				"parallel+arena": {
 					executor.WithBackend(executor.NewParallelBackend(sharedPool)),
-					executor.WithOptimize(compile.Defaults()),
 					executor.WithArena(tensor.NewArena())},
 			}
 			for vname, opts := range variants {
@@ -147,6 +144,57 @@ func TestBatchedConformance(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestStatsCountBeforeReply pins the Stats ordering contract: a batch is
+// counted before any of its requests is answered, so a client that reads
+// Stats right after its reply always sees its own request. Each client
+// bumps a shared counter after its reply and then reads Stats; the served
+// count can never trail the replies already received.
+func TestStatsCountBeforeReply(t *testing.T) {
+	m := zooModels()["mlp"]
+	srv, err := New(Options{
+		MaxBatch:    32,
+		MaxLinger:   20 * time.Millisecond,
+		Replicas:    2,
+		NewExecutor: execFactory(m),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close(context.Background())
+
+	const rounds, clients = 5, 32
+	var mu sync.Mutex
+	replied := 0
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, clients)
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				if _, err := srv.Infer(context.Background(),
+					map[string]*tensor.Tensor{"x": inputFor(m, 1, seed)}); err != nil {
+					errs <- err
+					return
+				}
+				mu.Lock()
+				replied++
+				seen := replied
+				mu.Unlock()
+				if st := srv.Stats(); st.Requests < uint64(seen) || st.Batches == 0 {
+					errs <- fmt.Errorf("after %d replies Stats reports %d requests in %d batches",
+						seen, st.Requests, st.Batches)
+				}
+			}(uint64(round*clients + i))
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
 	}
 }
 
