@@ -109,10 +109,8 @@ func main() {
 	if *ckptEvery > 0 {
 		opts = append(opts, d500.WithCheckpointEvery(*ckptEvery))
 	}
-	if *traceSlow > 0 {
-		opts = append(opts, d500.WithTraceSlow(*traceSlow))
-	} else if *traceOn {
-		opts = append(opts, d500.WithTrace())
+	if *traceOn || *traceSlow > 0 {
+		opts = append(opts, d500.WithTrace(d500.TraceConfig{SlowThreshold: *traceSlow}))
 	}
 	sess, err := d500.New(opts...)
 	fatalIf(err)

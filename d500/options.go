@@ -3,7 +3,6 @@ package d500
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"deep500/internal/frameworks"
 	"deep500/internal/kernels"
@@ -78,9 +77,8 @@ type config struct {
 	poolWorkers int
 	quick       bool
 	hook        Hook
-	ckptEvery   int // checkpoint cadence in steps (0 = every epoch)
-	traceOwn    bool
-	traceSlow   time.Duration
+	ckptEvery   int          // checkpoint cadence in steps (0 = every epoch)
+	ownTrace    *TraceConfig // WithTrace: build a session-owned tracer
 	tracer      *Tracer
 }
 
@@ -230,30 +228,19 @@ func WithHook(h Hook) Option {
 	}
 }
 
-// WithTrace gives the session its own span tracer with default sampling
-// (DefaultTraceConfig): training runs, serve requests and per-op executor
-// work record into a bounded flight recorder, and every retained trace is
-// reported to the session hook as a TraceSpan event. Use WithTracer
-// instead to share one tracer (and one recorder) across several
-// components. (This is the -trace flag of d500train.)
-func WithTrace() Option {
+// WithTrace gives the session its own span tracer configured by cfg, whose
+// zero fields take the DefaultTraceConfig values: training runs, serve
+// requests and per-op executor work record into a bounded flight
+// recorder, and every retained trace is reported to the session hook as a
+// TraceSpan event. Use WithTracer instead to share one tracer (and one
+// recorder) across several components. (d500train's -trace and
+// -trace-slow flags map onto this option.)
+func WithTrace(cfg TraceConfig) Option {
 	return func(c *config) error {
-		c.traceOwn = true
-		return nil
-	}
-}
-
-// WithTraceSlow enables tracing (as WithTrace) and sets the tail-sampling
-// latency threshold: any request or run whose root span lasts at least d
-// is retained regardless of the head sampler. (This is the -trace-slow
-// flag of d500train, d500serve and d500dist.)
-func WithTraceSlow(d time.Duration) Option {
-	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("d500: WithTraceSlow requires a positive threshold, got %v", d)
+		if err := cfg.validate(); err != nil {
+			return err
 		}
-		c.traceOwn = true
-		c.traceSlow = d
+		c.ownTrace = &cfg
 		return nil
 	}
 }

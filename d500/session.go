@@ -88,12 +88,8 @@ func New(opts ...Option) (*Session, error) {
 		// Shared tracer (WithTracer): recorder and sampling belong to the
 		// owner; no hook binding, so several sessions can share one safely.
 		s.tracer = c.tracer
-	case c.traceOwn:
-		tc := DefaultTraceConfig()
-		if c.traceSlow > 0 {
-			tc.SlowThreshold = c.traceSlow
-		}
-		opts := tc.internal()
+	case c.ownTrace != nil:
+		opts := c.ownTrace.internal()
 		if c.hook != nil {
 			hook := c.hook
 			opts.OnRetain = func(td trace.TraceData) {

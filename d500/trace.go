@@ -66,13 +66,22 @@ type Tracer struct {
 	t *trace.Tracer
 }
 
+// validate rejects the settings no tracer can run with; NewTracer and
+// WithTrace share it.
+func (c TraceConfig) validate() error {
+	if c.SlowThreshold < 0 {
+		return fmt.Errorf("d500: TraceConfig.SlowThreshold must be non-negative, got %v", c.SlowThreshold)
+	}
+	if c.SampleEvery < 0 {
+		return fmt.Errorf("d500: TraceConfig.SampleEvery must be non-negative, got %d", c.SampleEvery)
+	}
+	return nil
+}
+
 // NewTracer builds a tracer with a bounded in-memory flight recorder.
 func NewTracer(cfg TraceConfig) (*Tracer, error) {
-	if cfg.SlowThreshold < 0 {
-		return nil, fmt.Errorf("d500: TraceConfig.SlowThreshold must be non-negative, got %v", cfg.SlowThreshold)
-	}
-	if cfg.SampleEvery < 0 {
-		return nil, fmt.Errorf("d500: TraceConfig.SampleEvery must be non-negative, got %d", cfg.SampleEvery)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	return &Tracer{t: trace.New(cfg.internal())}, nil
 }

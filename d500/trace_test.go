@@ -15,11 +15,23 @@ import (
 )
 
 func TestTraceOptionValidation(t *testing.T) {
-	if _, err := New(WithTraceSlow(0)); err == nil {
-		t.Error("WithTraceSlow(0) must fail")
+	// A zero SlowThreshold takes the default instead of retaining every
+	// trace: of two fast roots only the always-sampled first is kept.
+	sess, err := New(WithTrace(TraceConfig{}))
+	if err != nil {
+		t.Fatalf("WithTrace with zero fields: %v", err)
 	}
-	if _, err := New(WithTraceSlow(-time.Second)); err == nil {
-		t.Error("negative WithTraceSlow must fail")
+	for i := 0; i < 2; i++ {
+		sess.Tracer().raw().StartRoot("fast").End()
+	}
+	if _, _, sampled := sess.Tracer().Counters(); sampled != 1 {
+		t.Errorf("zero SlowThreshold retained %d of 2 fast traces, want 1", sampled)
+	}
+	if _, err := New(WithTrace(TraceConfig{SlowThreshold: -time.Second})); err == nil {
+		t.Error("negative WithTrace SlowThreshold must fail")
+	}
+	if _, err := New(WithTrace(TraceConfig{SampleEvery: -1})); err == nil {
+		t.Error("negative WithTrace SampleEvery must fail")
 	}
 	if _, err := New(WithTracer(nil)); err == nil {
 		t.Error("WithTracer(nil) must fail")
@@ -59,7 +71,7 @@ func TestNilTracerIsInert(t *testing.T) {
 // recorder through the public Handler.
 func TestSessionTraceSpanEvent(t *testing.T) {
 	var traces []TraceSpan
-	sess := openSession(t, WithTrace(), WithHook(func(e Event) {
+	sess := openSession(t, WithTrace(TraceConfig{}), WithHook(func(e Event) {
 		if ts, ok := e.(TraceSpan); ok {
 			traces = append(traces, ts)
 		}

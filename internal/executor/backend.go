@@ -52,9 +52,6 @@ func (SequentialBackend) RunForward(ctx context.Context, e *Executor) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if e.stopRequested() {
-			break
-		}
 		if err := e.execNode(n); err != nil {
 			return err
 		}
@@ -143,26 +140,17 @@ func (b *ParallelBackend) RunForward(ctx context.Context, e *Executor) error {
 // It returns when no runnable node is available to this goroutine.
 func (b *ParallelBackend) runChain(ctx context.Context, e *Executor, deps *depInfo, st *schedState, n *graph.Node) {
 	for {
-		var err error
 		st.mu.Lock()
 		stopped := st.stopped
 		st.mu.Unlock()
+		var err error
 		if !stopped {
-			switch {
-			case ctx.Err() != nil:
-				stopped = true
-				err = ctx.Err()
-			case e.stopRequested():
-				stopped = true
-			default:
+			if err = ctx.Err(); err == nil {
 				err = e.execNode(n)
 			}
 		}
 
 		st.mu.Lock()
-		if stopped {
-			st.stopped = true
-		}
 		if err != nil {
 			st.stopped = true
 			if st.err == nil {

@@ -31,6 +31,9 @@ func wideModel(towers, depth int) *graph.Model {
 	return m
 }
 
+// WideModel exports wideModel to the external-package hook tests.
+var WideModel = wideModel
+
 func nodeName(p string, b, d int) string {
 	return p + string(rune('a'+b)) + string(rune('a'+d))
 }
@@ -101,7 +104,7 @@ func TestBackpropCancelBetweenNodes(t *testing.T) {
 	defer cancel()
 	// Cancel after the forward pass completes: the backward loop's ctx
 	// check must abort backprop.
-	e.Events = &Events{BeforeBackprop: cancel}
+	e.Events = &Events{AfterInference: func(time.Duration) { cancel() }}
 	_, err := e.InferenceAndBackprop(ctx, feeds, "l")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled from backward pass, got %v", err)

@@ -63,11 +63,9 @@ type Executor struct {
 	gemmAlgo *kernels.GemmAlgo
 	depOnce  sync.Once
 	deps     *depInfo
-	// stateMu guards the per-pass maps, the memory model and the FLOP
-	// counter against concurrent node completions under ParallelBackend.
+	// stateMu guards the per-pass maps and the memory model against
+	// concurrent node completions under ParallelBackend.
 	stateMu sync.Mutex
-	// eventMu serializes user event hooks, which need not be thread-safe.
-	eventMu sync.Mutex
 
 	training bool
 	// last forward pass state. The maps are allocated once and cleared per
@@ -84,9 +82,6 @@ type Executor struct {
 	// written by forward before the backend runs and read concurrently by
 	// ParallelBackend workers; Span methods are concurrency-safe.
 	passSpan *trace.Span
-	// LastForwardFLOPs is the operator-reported FLOP total of the most
-	// recent forward pass.
-	LastForwardFLOPs int64
 	// lastActivationBytes is the activation memory charged to the memory
 	// model by the most recent forward pass, released by freeActivations.
 	lastActivationBytes int64
@@ -214,17 +209,6 @@ func (e *Executor) spinOverhead() {
 	}
 }
 
-// stopRequested polls the Stop event hook.
-func (e *Executor) stopRequested() bool {
-	ev := e.Events
-	if ev == nil || ev.Stop == nil {
-		return false
-	}
-	e.eventMu.Lock()
-	defer e.eventMu.Unlock()
-	return ev.Stop()
-}
-
 // forward runs the forward pass through the configured backend, populating
 // e.values/nodeIns/nodeOuts. A nil ctx is treated as context.Background()
 // so pre-context call sites that pass nil stay safe.
@@ -241,6 +225,9 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 	}
 	start := time.Now()
 
+	// Set unconditionally: a pass abandoned by a recovered panic must not
+	// leave its span to the next, untraced pass.
+	e.passSpan = nil
 	if parent := trace.FromContext(ctx); parent != nil {
 		e.passSpan = parent.StartChild("exec.forward",
 			trace.String("backend", backendName(e.backend)),
@@ -257,7 +244,6 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 		clear(e.nodeIns)
 		clear(e.nodeOuts)
 	}
-	e.LastForwardFLOPs = 0
 	e.lastActivationBytes = 0
 
 	for name, t := range feeds {
@@ -270,7 +256,7 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 	err := e.backend.RunForward(ctx, e)
 
 	if ps := e.passSpan; ps != nil {
-		ps.AddAttrs(trace.Int("flops", int(e.LastForwardFLOPs)))
+		ps.AddAttrs(trace.Int("flops", e.forwardFLOPs()))
 		ps.SetError(err)
 		ps.End()
 		e.passSpan = nil
@@ -286,9 +272,8 @@ func (e *Executor) forward(ctx context.Context, feeds map[string]*tensor.Tensor)
 // execNode runs one node: gather inputs, invoke the operator, publish
 // outputs. It is the unit of work both backends schedule; all shared-state
 // mutation happens under stateMu so ParallelBackend can call it from many
-// goroutines, while the operator's Forward itself runs unlocked.
+// goroutines, while the operator call and its hooks run unlocked.
 func (e *Executor) execNode(n *graph.Node) error {
-	ev := e.Events
 	op := e.nodeOps[n]
 
 	e.stateMu.Lock()
@@ -309,15 +294,9 @@ func (e *Executor) execNode(n *graph.Node) error {
 		}
 		ins[i] = t
 	}
-	// Workspace accounting for convolutions.
 	var workspace int64
-	conv, _ := op.(*ops.Conv2DOp)
-	if conv != nil && e.Memory != nil {
-		x, w := ins[0], ins[1]
-		cs := kernels.ConvShape{N: x.Dim(0), C: x.Dim(1), H: x.Dim(2), W: x.Dim(3),
-			M: w.Dim(0), KH: w.Dim(2), KW: w.Dim(3),
-			StrideH: conv.StrideH, StrideW: conv.StrideW, PadH: conv.PadH, PadW: conv.PadW}
-		workspace = cs.WorkspaceBytes(conv.Algo)
+	if conv, ok := op.(*ops.Conv2DOp); ok && e.Memory != nil {
+		workspace = conv.WorkspaceBytes(ins)
 		if err := e.Memory.Alloc(workspace); err != nil {
 			e.stateMu.Unlock()
 			return err
@@ -325,35 +304,13 @@ func (e *Executor) execNode(n *graph.Node) error {
 	}
 	e.stateMu.Unlock()
 
-	if ev != nil && ev.BeforeOp != nil {
-		e.eventMu.Lock()
-		ev.BeforeOp(n)
-		e.eventMu.Unlock()
-	}
-	var opSpan *trace.Span
-	if ps := e.passSpan; ps != nil {
-		opSpan = ps.StartChild("op:"+n.OpType, trace.String("node", n.Name))
-	}
-	opStart := time.Now()
-	e.spinOverhead()
-	outs := op.Forward(ins)
-	opDur := time.Since(opStart)
-	if opSpan != nil {
-		opSpan.AddAttrs(e.opSpanAttrs(op, conv, outs)...)
-		opSpan.End()
-	}
-	if ev != nil && ev.AfterOp != nil {
-		e.eventMu.Lock()
-		ev.AfterOp(n, opDur)
-		e.eventMu.Unlock()
-	}
+	outs := e.invoke(n, op, e.passSpan, false, ins, nil, nil)
 
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
 	if workspace > 0 {
 		e.Memory.Free(workspace)
 	}
-	e.LastForwardFLOPs += op.FLOPs(ins)
 	for i, name := range n.Outputs {
 		if i >= len(outs) {
 			break
@@ -371,23 +328,77 @@ func (e *Executor) execNode(n *graph.Node) error {
 	return nil
 }
 
+// invoke is the executor's one operator-invocation path, shared by both
+// directions: forward calls op.Forward(ins) and returns the outputs;
+// backward calls op.Backward(gradOuts, ins, outs) and returns the input
+// gradients. Around the call it fires the direction's hooks and, when
+// parent is non-nil (a traced pass), records an "op:<type>" or
+// "op.bwd:<type>" span. The OpOverhead dispatch spin is inside the timed
+// region, so hooks count it as operator time.
+func (e *Executor) invoke(n *graph.Node, op ops.Operator, parent *trace.Span, backward bool, ins, gradOuts, outs []*tensor.Tensor) []*tensor.Tensor {
+	ev := e.Events
+	if !backward && ev != nil && ev.BeforeOp != nil {
+		ev.BeforeOp(n)
+	}
+	var span *trace.Span
+	if parent != nil {
+		prefix := "op:"
+		if backward {
+			prefix = "op.bwd:"
+		}
+		span = parent.StartChild(prefix+n.OpType, trace.String("node", n.Name))
+	}
+	start := time.Now()
+	e.spinOverhead()
+	var res []*tensor.Tensor
+	if backward {
+		res = op.Backward(gradOuts, ins, outs)
+	} else {
+		res = op.Forward(ins)
+	}
+	d := time.Since(start)
+	if span != nil {
+		if !backward {
+			span.AddAttrs(e.opSpanAttrs(op, res)...)
+		}
+		span.End()
+	}
+	if ev != nil {
+		after := ev.AfterOp
+		if backward {
+			after = ev.AfterBackwardOp
+		}
+		if after != nil {
+			after(n, d)
+		}
+	}
+	return res
+}
+
+// forwardFLOPs sums the operator-reported FLOPs of the nodes the last
+// forward pass executed. Only traced passes call it, for the pass span.
+func (e *Executor) forwardFLOPs() int {
+	var flops int64
+	for n, ins := range e.nodeIns {
+		flops += e.nodeOps[n].FLOPs(ins)
+	}
+	return int(flops)
+}
+
 // opSpanAttrs builds a traced op span's attributes: output shape, arena
 // placement and the kernel algorithm in effect. Only called on traced
 // passes, so the allocations here never touch the untraced fast path.
-func (e *Executor) opSpanAttrs(op ops.Operator, conv *ops.Conv2DOp, outs []*tensor.Tensor) []trace.Attr {
+func (e *Executor) opSpanAttrs(op ops.Operator, outs []*tensor.Tensor) []trace.Attr {
 	attrs := make([]trace.Attr, 0, 3)
 	if len(outs) > 0 && outs[0] != nil {
 		attrs = append(attrs,
 			trace.String("shape", fmt.Sprint(outs[0].Shape())),
 			trace.Bool("arena_hit", outs[0].ArenaBacked()))
 	}
-	switch {
-	case conv != nil:
+	if conv, ok := op.(*ops.Conv2DOp); ok {
 		attrs = append(attrs, trace.String("algo", conv.Algo.String()))
-	case e.gemmAlgo != nil:
-		if _, ok := op.(ops.GemmAlgoAware); ok {
-			attrs = append(attrs, trace.String("algo", e.gemmAlgo.String()))
-		}
+	} else if _, ok := op.(ops.GemmAlgoAware); ok && e.gemmAlgo != nil {
+		attrs = append(attrs, trace.String("algo", e.gemmAlgo.String()))
 	}
 	return attrs
 }
@@ -483,10 +494,6 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 	if !ok {
 		return nil, fmt.Errorf("executor: loss tensor %q not produced by forward pass", loss)
 	}
-	ev := e.Events
-	if ev != nil && ev.BeforeBackprop != nil {
-		ev.BeforeBackprop()
-	}
 	start := time.Now()
 	bwdSpan := trace.FromContext(ctx).StartChild("exec.backward", trace.Int("nodes", len(e.order)))
 
@@ -499,13 +506,7 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if ev != nil && ev.Stop != nil && ev.Stop() {
-			break
-		}
 		outs := e.nodeOuts[n]
-		if outs == nil {
-			continue // node skipped in forward (early exit)
-		}
 		gradOuts := make([]*tensor.Tensor, len(outs))
 		any := false
 		for j, name := range n.Outputs {
@@ -525,19 +526,7 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 				gradOuts[j] = tensor.New(outs[j].Shape()...)
 			}
 		}
-		op := e.nodeOps[n]
-		if ev != nil && ev.BeforeBackwardOp != nil {
-			ev.BeforeBackwardOp(n)
-		}
-		opSpan := bwdSpan.StartChild("op.bwd:"+n.OpType, trace.String("node", n.Name))
-		opStart := time.Now()
-		e.spinOverhead()
-		gradIns := op.Backward(gradOuts, e.nodeIns[n], outs)
-		opDur := time.Since(opStart)
-		opSpan.End()
-		if ev != nil && ev.AfterBackwardOp != nil {
-			ev.AfterBackwardOp(n, opDur)
-		}
+		gradIns := e.invoke(n, e.nodeOps[n], bwdSpan, true, e.nodeIns[n], gradOuts, outs)
 		for j, name := range n.Inputs {
 			if name == "" || j >= len(gradIns) || gradIns[j] == nil {
 				continue
@@ -555,7 +544,7 @@ func (e *Executor) InferenceAndBackprop(ctx context.Context, feeds map[string]*t
 		}
 	}
 	bwdSpan.End()
-	if ev != nil && ev.AfterBackprop != nil {
+	if ev := e.Events; ev != nil && ev.AfterBackprop != nil {
 		ev.AfterBackprop(time.Since(start))
 	}
 	return e.collectOutputs(), nil

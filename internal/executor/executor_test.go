@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -147,32 +148,39 @@ func TestEventsFire(t *testing.T) {
 	}
 }
 
-func TestEarlyStop(t *testing.T) {
+// TestHookPanicLeavesExecutorUsable: a hook that panics mid-pass must not
+// leave the executor wedged. The panic is recovered by the caller, and the
+// next pass on the same executor must complete.
+func TestHookPanicLeavesExecutorUsable(t *testing.T) {
 	e := MustNew(xorModel())
-	count := 0
-	e.Events = &Events{
-		AfterOp: func(n *graph.Node, d time.Duration) { count++ },
-		Stop:    func() bool { return count >= 2 },
-	}
+	var panicked atomic.Bool
+	e.Events = &Events{BeforeOp: func(*graph.Node) {
+		if panicked.CompareAndSwap(false, true) {
+			panic("hook failure")
+		}
+	}}
 	x, labels := xorData()
-	_, err := e.Inference(context.Background(), map[string]*tensor.Tensor{"x": x, "labels": labels})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count > 2 {
-		t.Fatalf("executed %d ops after stop", count)
-	}
-}
-
-func TestEventMerge(t *testing.T) {
-	var a, b int
-	ev := Merge(&Events{BeforeInference: func() { a++ }}, &Events{BeforeInference: func() { b++ }})
-	ev.BeforeInference()
-	if a != 1 || b != 1 {
-		t.Fatal("merged hooks not both called")
-	}
-	if Merge(nil, ev) != ev || Merge(ev, nil) != ev {
-		t.Fatal("nil merge should return the other side")
+	feeds := map[string]*tensor.Tensor{"x": x, "labels": labels}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("hook panic did not propagate")
+			}
+		}()
+		e.Inference(context.Background(), feeds)
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Inference(context.Background(), feeds)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("pass after recovered hook panic: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("pass after recovered hook panic did not return")
 	}
 }
 
@@ -221,15 +229,34 @@ func TestExecutorOOMAndRecovery(t *testing.T) {
 	}
 }
 
+// TestFLOPCounting: a traced pass reports the operators' FLOP total on
+// its exec.forward span.
 func TestFLOPCounting(t *testing.T) {
 	e := MustNew(xorModel())
 	x, labels := xorData()
-	if _, err := e.Inference(context.Background(), map[string]*tensor.Tensor{"x": x, "labels": labels}); err != nil {
+	tr, root, ctx := traceCtx(t)
+	if _, err := e.Inference(ctx, map[string]*tensor.Tensor{"x": x, "labels": labels}); err != nil {
 		t.Fatal(err)
 	}
+	root.End()
+	td, ok := tr.Recorder().Trace(root.TraceID())
+	if !ok {
+		t.Fatal("trace not retained")
+	}
+	flops := int64(-1)
+	for _, s := range td.Spans {
+		if s.Name != "exec.forward" {
+			continue
+		}
+		for _, a := range s.Attrs {
+			if a.Key == "flops" {
+				flops, _ = a.Value.(int64)
+			}
+		}
+	}
 	// fc1: 2*4*2*8 = 128, fc2: 2*4*8*2 = 128, plus elementwise terms
-	if e.LastForwardFLOPs < 256 {
-		t.Fatalf("FLOPs = %d, want ≥ 256", e.LastForwardFLOPs)
+	if flops < 256 {
+		t.Fatalf("pass span flops = %d, want ≥ 256", flops)
 	}
 }
 

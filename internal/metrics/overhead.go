@@ -13,8 +13,10 @@ import (
 // the Level 1 metric the paper uses to expose framework and hardware
 // management cost (GPU kernel invocation latency etc., §IV-D).
 type FrameworkOverhead struct {
-	*Sampler        // overhead fraction per pass (0.1 = 10%)
-	opTime          time.Duration
+	*Sampler // overhead fraction per pass (0.1 = 10%)
+	// opTime sums the pass's operator durations in nanoseconds. It is
+	// atomic because the parallel backend runs AfterOp concurrently.
+	opTime          atomic.Int64
 	AbsoluteSampler *Sampler // overhead seconds per pass
 }
 
@@ -26,9 +28,8 @@ func NewFrameworkOverhead() *FrameworkOverhead {
 	}
 }
 
-// Events returns executor hooks that feed this metric; attach them with
-// executor.Merge when other hooks are present. This is the paper's pattern
-// of one class extending both TestMetric and Event.
+// Events returns executor hooks that feed this metric. This is the paper's
+// pattern of one class extending both TestMetric and Event.
 //
 // The per-pass overhead fraction is defined for the sequential backend:
 // under the parallel dataflow backend concurrent operator durations can sum
@@ -37,10 +38,10 @@ func NewFrameworkOverhead() *FrameworkOverhead {
 // on any backend.
 func (f *FrameworkOverhead) Events() *executor.Events {
 	return &executor.Events{
-		BeforeInference: func() { f.opTime = 0 },
-		AfterOp:         func(n *graph.Node, d time.Duration) { f.opTime += d },
+		BeforeInference: func() { f.opTime.Store(0) },
+		AfterOp:         func(n *graph.Node, d time.Duration) { f.opTime.Add(int64(d)) },
 		AfterInference: func(total time.Duration) {
-			over := total - f.opTime
+			over := total - time.Duration(f.opTime.Load())
 			if over < 0 {
 				over = 0
 			}

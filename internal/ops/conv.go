@@ -103,6 +103,13 @@ func (o *Conv2DOp) FLOPs(inputs []*tensor.Tensor) int64 {
 	return o.shape(inputs[0], inputs[1]).FLOPs()
 }
 
+// WorkspaceBytes returns the scratch memory the configured algorithm needs
+// to convolve inputs (X, W[, bias]); the executor charges it to its memory
+// model for the duration of the call.
+func (o *Conv2DOp) WorkspaceBytes(inputs []*tensor.Tensor) int64 {
+	return o.shape(inputs[0], inputs[1]).WorkspaceBytes(o.Algo)
+}
+
 func init() {
 	Register("Conv", func(n *graph.Node) (Operator, error) {
 		strides := n.AttrInts("strides", []int64{1, 1})
