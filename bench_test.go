@@ -2,8 +2,10 @@ package deep500
 
 // Repository-level benchmark harness: one benchmark per table/figure of the
 // paper's evaluation (run the full experiment drivers with
-// `go run ./cmd/d500bench`), plus ablation benchmarks for the design
-// choices listed in DESIGN.md §5. Benchmarks use scaled problem sizes so
+// `go run ./cmd/d500bench`), plus ablation benchmarks for the
+// implementation choices behind them: GEMM and convolution algorithms,
+// allreduce algorithm, fused Adam, shuffle-buffer size and gradient
+// quantization. Benchmarks use scaled problem sizes so
 // `go test -bench=. -benchmem` completes in minutes on a laptop.
 
 import (
@@ -381,7 +383,7 @@ func benchFig12Round(o core.Options, scheme string) ([]core.Fig12Row, error) {
 	return core.RunFig12Schemes(o, []int{8}, 64, 1, []string{scheme})
 }
 
-// --- Ablations (DESIGN.md §5) --------------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
 func BenchmarkAblationGemm(b *testing.B) {
 	m, k, n := 256, 256, 256

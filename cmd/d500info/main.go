@@ -35,11 +35,11 @@ func printExperiments() error {
 	return nil
 }
 
-// printServe renders the d500serve / d500.NewServer option surface with
-// its resolved defaults.
+// printServe renders the d500serve / d500.Registry serving option surface
+// with its resolved defaults.
 func printServe() {
 	d := d500.DefaultServerConfig()
-	fmt.Println("\nServing defaults (d500serve / d500.NewServer):")
+	fmt.Println("\nServing defaults (d500serve / d500.Registry, per model):")
 	fmt.Printf("  %-22s %d rows (flag -batch, option WithMaxBatch; 1 disables batching)\n", "max batch", d.MaxBatch)
 	fmt.Printf("  %-22s %v (flag -linger, option WithMaxLinger)\n", "max linger", d.MaxLinger)
 	fmt.Printf("  %-22s %d (flag -replicas, option WithReplicas)\n", "session replicas", d.Replicas)

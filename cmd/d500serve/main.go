@@ -348,11 +348,13 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "d500serve: http shutdown:", err)
 		code = 1
 	}
+	// Every HTTP request has been answered once Shutdown returns; read the
+	// totals before Close unloads the tenants that hold them.
+	st := registry.Stats()
 	if err := registry.Close(shutdownCtx); err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "d500serve: server close:", err)
 		code = 1
 	}
-	st := registry.Stats()
 	fmt.Printf("d500serve: served %d request(s) in %d batch(es) (occupancy %.2f rows/batch, %d rejected, %d scale-up(s))\n",
 		st.Aggregate.Requests, st.Aggregate.Batches, st.Aggregate.Occupancy, st.Aggregate.Rejected, st.Aggregate.ScaleUps)
 	fmt.Println("d500serve: shutdown complete")

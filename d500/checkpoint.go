@@ -32,7 +32,7 @@ func (s *Session) Save(path string) error {
 
 // Load reads a D5NX model checkpoint written by Session.Save (or the
 // internal graph.Save). The loaded model is ready for Session.Open or
-// NewServer.
+// Registry.Load.
 func Load(path string) (*graph.Model, error) {
 	if path == "" {
 		return nil, errors.New("d500: Load requires a path")

@@ -11,8 +11,8 @@ import (
 
 // TestCheckpointRoundTrip is the satellite acceptance test: train a model
 // through the public API, Save it, Load it back, and require identical
-// inference — including when the loaded checkpoint is served through
-// NewServer.
+// inference — including when the loaded checkpoint is served through a
+// Registry.
 func TestCheckpointRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 4, Width: 4, WithHead: true, Seed: 7}, 8)
@@ -86,12 +86,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// …and through the serving layer over the loaded checkpoint.
-	srv, err := NewServer(loaded, WithMaxBatch(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close(ctx)
-	served, err := srv.Infer(ctx, feeds())
+	served, err := serveOne(t, loaded, WithMaxBatch(1)).Infer(ctx, "model", feeds())
 	if err != nil {
 		t.Fatal(err)
 	}

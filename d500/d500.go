@@ -24,22 +24,25 @@
 // BenchSample / ServeSample events. ConsoleHook renders that stream as
 // the progress lines and sample tables the binaries print.
 //
-// For online inference, NewServer wraps a model in the serving
-// subsystem — a dynamic micro-batching queue over a pool of session
-// replicas with bounded admission and an HTTP JSON front end:
+// For online inference, a Registry serves one model or many: each loaded
+// model gets a dynamic micro-batching queue over a pool of session
+// replicas with bounded admission, and Registry.Handler is the HTTP JSON
+// front end (POST /v1/infer routes to the sole loaded model):
 //
-//	srv, err := d500.NewServer(model,
+//	reg, err := d500.NewRegistry()
+//	if err != nil { ... }
+//	err = reg.Load("lenet", d500.ModelSpec{Model: model, Options: []d500.ServerOption{
 //		d500.WithMaxBatch(8), d500.WithReplicas(4),
 //		d500.WithSession(d500.WithArena()),
-//	)
+//	}})
 //	if err != nil { ... }
-//	http.ListenAndServe(":8500", srv.Handler())
+//	http.ListenAndServe(":8500", reg.Handler(nil))
 //
 // Session.Save and Load round-trip trained weights through the D5NX
 // checkpoint format, so a train → Save → Load → serve pipeline
 // reproduces inference exactly.
 //
-// For operations, Metrics aggregates the event stream and the server's
+// For operations, Metrics aggregates the event stream and the registry's
 // stats into a dependency-free Prometheus /metrics endpoint with a JSON
 // request-log middleware; replica panics are isolated (ErrReplicaCrash,
 // optional respawn via WithRespawn); and TrainConfig.CheckpointPath plus

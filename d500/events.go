@@ -6,7 +6,8 @@ import (
 	"time"
 )
 
-// Event is a structured observation from a Session or Server: a training
+// Event is a structured observation from a Session or a Registry tenant's
+// serving pool: a training
 // step or epoch finishing, an evaluation completing, a benchmark sample
 // being recorded, a serving micro-batch executing, the autoscaler resizing
 // a replica pool, a replica crashing, a checkpoint landing on disk, or
@@ -59,11 +60,11 @@ type BenchSample struct {
 	Samples int
 }
 
-// ServeSample is emitted by a Server for every executed micro-batch: how
-// many requests and rows were coalesced, how long the batch's oldest
-// request waited, and how long the batched pass took. Emissions are
-// serialized across replicas, so a hook consuming them need not be
-// thread-safe.
+// ServeSample is emitted by a Registry tenant's serving pool for every
+// executed micro-batch, before the batch's requests are answered: how many
+// requests and rows were coalesced, how long the batch's oldest request
+// waited, and how long the batched pass took. Emissions are serialized
+// across replicas, so a hook consuming them need not be thread-safe.
 type ServeSample struct {
 	// Replica identifies the session replica that ran the batch.
 	Replica int
@@ -75,7 +76,7 @@ type ServeSample struct {
 	Exec time.Duration
 }
 
-// ServeScale is emitted by a Server whose autoscaler (WithMaxReplicas)
+// ServeScale is emitted by a serving pool whose autoscaler (WithMaxReplicas)
 // changed the replica pool: a replica was added under queue pressure, or
 // an idle scaled-up replica was retired by draining. Emitted from the
 // scaler goroutine; unlike ServeSample it is NOT serialized with the
@@ -88,7 +89,7 @@ type ServeScale struct {
 	Up bool
 }
 
-// ReplicaDown is emitted by a Server when one of its replicas crashes: a
+// ReplicaDown is emitted by a serving pool when one of its replicas crashes: a
 // panic in the replica's pass was recovered, its in-flight requests failed
 // with ErrReplicaCrash, and the pool continues at degraded capacity.
 // Emissions are serialized with ServeSample, so a hook consuming both need

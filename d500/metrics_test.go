@@ -14,29 +14,26 @@ import (
 	"deep500/internal/tensor"
 )
 
-// TestMetricsCoversCanonicalNames: once a Metrics observes a server, every
-// metric in the canonical obs.CoreNames() list must be registered — the
-// same invariant tools/docscheck enforces between names and
-// docs/operations.md, closed from the code side. (The d500_dist_* names in
+// TestMetricsCoversCanonicalNames: once a Metrics observes a one-tenant
+// registry, every metric in the canonical obs.CoreNames() list must be
+// registered — the same invariant tools/docscheck enforces between names
+// and docs/operations.md, closed from the code side. (The d500_dist_* names in
 // obs.DistNames() are registered by the internal/jobs control plane and
 // covered by its own conformance test.)
 func TestMetricsCoversCanonicalNames(t *testing.T) {
 	m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 4, Width: 4, Seed: 7}, 8)
 	metrics := NewMetrics()
-	srv, err := NewServer(m,
+	reg := serveOne(t, m,
 		WithMaxBatch(2),
 		WithReplicas(1),
 		WithSession(WithArena(), WithHook(metrics.Hook())),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close(context.Background())
-	metrics.Observe(srv)
+	metrics.ObserveRegistry(reg)
 
-	// Serve one request so the event-driven histograms have samples.
+	// Serve one request so the event-driven histograms have samples; the
+	// batch is observed before the reply, so they are in by the time it is.
 	rng := tensor.NewRNG(3)
-	if _, err := srv.Infer(context.Background(), map[string]*tensor.Tensor{
+	if _, err := reg.Infer(context.Background(), "model", map[string]*tensor.Tensor{
 		"x": tensor.RandNormal(rng, 0, 1, 1, 1, 4, 4),
 	}); err != nil {
 		t.Fatal(err)
@@ -50,7 +47,7 @@ func TestMetricsCoversCanonicalNames(t *testing.T) {
 	body := rec.Body.String()
 	for _, name := range obs.CoreNames() {
 		if !strings.Contains(body, "# TYPE "+name+" ") {
-			t.Errorf("canonical metric %s is not registered by NewMetrics+Observe", name)
+			t.Errorf("canonical metric %s is not registered by NewMetrics+ObserveRegistry", name)
 		}
 	}
 	for _, want := range []string{
@@ -58,6 +55,8 @@ func TestMetricsCoversCanonicalNames(t *testing.T) {
 		"d500_serve_replicas_live 1",
 		"d500_serve_batches_total 1",
 		"d500_serve_batch_latency_seconds_bucket{le=\"+Inf\"} 1",
+		"d500_serve_models 1",
+		`d500_serve_model_requests_total{model="model"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing %q in /metrics output", want)

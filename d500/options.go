@@ -247,7 +247,7 @@ func WithTrace(cfg TraceConfig) Option {
 
 // WithTracer attaches a shared tracer built by NewTracer, so this
 // session's spans land in the same flight recorder as the other
-// components holding it (a Server, a jobs manager). Shared tracers are
+// components holding it (a Registry tenant, a jobs manager). Shared tracers are
 // not bound to the session hook — read them via Tracer.Handler or
 // Metrics.ObserveTracer. A nil tracer is rejected; omit the option to
 // run untraced.

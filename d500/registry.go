@@ -12,7 +12,8 @@ import (
 	"deep500/internal/tensor"
 )
 
-// Multi-tenant serving errors, re-exported like the single-server set.
+// Multi-tenant serving errors, re-exported like the rest of the serving
+// error taxonomy (serve.go).
 var (
 	// ErrUnknownModel is returned for requests naming a model the registry
 	// does not serve (HTTP 404).
@@ -24,7 +25,7 @@ var (
 )
 
 // ModelSpec describes one loadable model version for a Registry: the
-// model graph plus the same ServerOption vocabulary NewServer takes.
+// model graph plus the ServerOptions that configure its serving pool.
 type ModelSpec struct {
 	// Version identifies the build for display and swap bookkeeping.
 	Version string
@@ -33,7 +34,9 @@ type ModelSpec struct {
 	Priority int
 	// Model is the graph to serve; required.
 	Model *graph.Model
-	// Options configure the version's serving pool exactly like NewServer.
+	// Options configure the version's serving pool: micro-batching,
+	// replicas, autoscaling, admission queue, respawn and the replicas'
+	// Session options.
 	Options []ServerOption
 }
 
@@ -62,7 +65,7 @@ type registryConfig struct {
 // RegistryOption configures NewRegistry.
 type RegistryOption func(*registryConfig) error
 
-// WithDrainGrace bounds how long a replaced or unloaded version's server
+// WithDrainGrace bounds how long a replaced or unloaded version's pool
 // may spend draining in-flight requests in the background (default 30s).
 func WithDrainGrace(d time.Duration) RegistryOption {
 	return func(c *registryConfig) error {
@@ -86,17 +89,19 @@ func WithShedOccupancy(frac float64) RegistryOption {
 	}
 }
 
-// Registry is the multi-tenant serving front end: a name → Server table
-// with hot load/unload over HTTP, atomic version swaps (in-flight
-// requests drain on the version that admitted them while new admissions
-// route to the replacement), queue-driven per-model autoscaling (via each
-// spec's WithMaxReplicas), and priority-based admission shedding. All
-// methods are safe for concurrent use.
+// Registry is the online-inference front end, for one model or many: a
+// name → serving-pool table where each pool coalesces single-item requests
+// into batched executions over its session replicas. It adds hot
+// load/unload over HTTP, atomic version swaps (in-flight requests drain on
+// the version that admitted them while new admissions route to the
+// replacement), queue-driven per-model autoscaling (via each spec's
+// WithMaxReplicas), and priority-based admission shedding. All methods are
+// safe for concurrent use.
 type Registry struct {
 	inner *serve.Registry
 
-	mu      sync.Mutex
-	servers map[string]*Server // current version's wrapper per tenant
+	mu     sync.Mutex
+	arenas map[string]*tensor.Arena // last-built version's replica-shared arena per tenant
 }
 
 // NewRegistry builds an empty model registry.
@@ -115,13 +120,13 @@ func NewRegistry(opts ...RegistryOption) (*Registry, error) {
 			DrainGrace:    cfg.drainGrace,
 			ShedOccupancy: cfg.shedOcc,
 		}),
-		servers: make(map[string]*Server),
+		arenas: make(map[string]*tensor.Arena),
 	}, nil
 }
 
-// convert wraps a d500 ModelSpec into the internal one, tracking the
-// built wrapper so per-tenant state the internal layer cannot see (the
-// replica-shared arena) stays observable.
+// convert wraps a d500 ModelSpec into the internal one, recording the
+// built pool's arena so per-tenant state the internal layer cannot see
+// stays observable.
 func (r *Registry) convert(name string, spec ModelSpec) (serve.ModelSpec, error) {
 	if spec.Model == nil {
 		return serve.ModelSpec{}, fmt.Errorf("%w: model spec for %q has no graph", ErrBadRequest, name)
@@ -130,30 +135,32 @@ func (r *Registry) convert(name string, spec ModelSpec) (serve.ModelSpec, error)
 		Version:  spec.Version,
 		Priority: spec.Priority,
 		Build: func() (*serve.Server, error) {
-			srv, err := NewServer(spec.Model, spec.Options...)
+			srv, arena, err := newServer(spec.Model, spec.Options...)
 			if err != nil {
 				return nil, err
 			}
 			r.mu.Lock()
-			r.servers[name] = srv
+			r.arenas[name] = arena
 			r.mu.Unlock()
-			return srv.inner, nil
+			return srv, nil
 		},
 	}, nil
 }
 
-// Load installs (or hot-swaps) the named model. A failing build leaves
-// the previous version serving untouched; a successful one atomically
-// replaces it — the old version drains in the background.
+// Load installs (or hot-swaps) the named model. A failing build — an
+// invalid ServerOption included — leaves the previous version serving
+// untouched; a successful one atomically replaces it, and the old version
+// drains in the background.
 func (r *Registry) Load(name string, spec ModelSpec) error {
 	ispec, err := r.convert(name, spec)
 	if err != nil {
 		return err
 	}
-	return r.inner.Load(name, ispec)
+	_, err = r.inner.Load(name, ispec)
+	return err
 }
 
-// Unload removes the named model; its server drains in the background.
+// Unload removes the named model; its pool drains in the background.
 func (r *Registry) Unload(name string) error { return r.inner.Unload(name) }
 
 // Infer routes one request to the named model. Unknown names return
@@ -188,13 +195,13 @@ func (r *Registry) Handler(load LoadFunc) http.Handler {
 	return r.inner.Handler(inner)
 }
 
-// Close unloads every model and waits for their servers to drain,
-// bounded by ctx.
+// Close unloads every model and waits for their pools to drain, bounded
+// by ctx. Loads after Close fail with ErrServerClosed.
 func (r *Registry) Close(ctx context.Context) error { return r.inner.Close(ctx) }
 
-// arenaBytes sums the idle arena footprint across currently-loaded
-// tenants, pruning wrappers whose tenant is gone (unloaded, or replaced
-// by a version whose build raced a registry close).
+// arenaBytes sums the idle arena footprint across the loaded tenants,
+// pruning the arenas of tenants that are gone (unloaded, or never
+// installed because their build raced a registry close).
 func (r *Registry) arenaBytes() float64 {
 	loaded := make(map[string]bool)
 	for _, m := range r.inner.Models() {
@@ -202,13 +209,12 @@ func (r *Registry) arenaBytes() float64 {
 	}
 	var total float64
 	r.mu.Lock()
-	for name, srv := range r.servers {
-		if !loaded[name] {
-			delete(r.servers, name)
-			continue
-		}
-		if srv.arena != nil {
-			total += float64(srv.arena.FreeBytes())
+	for name, arena := range r.arenas {
+		switch {
+		case !loaded[name]:
+			delete(r.arenas, name)
+		case arena != nil:
+			total += float64(arena.FreeBytes())
 		}
 	}
 	r.mu.Unlock()

@@ -129,21 +129,16 @@ func TestRegistryOptionValidation(t *testing.T) {
 // TestAutoscaleOptionsAndEvent checks the autoscaler option surface and
 // that pool resizes reach the session hook as ServeScale events.
 func TestAutoscaleOptionsAndEvent(t *testing.T) {
-	m := serveModel()
-	for name, opts := range map[string][]ServerOption{
+	rejectsOptions(t, map[string][]ServerOption{
 		"max-replicas": {WithMaxReplicas(0)},
 		"below-floor":  {WithReplicas(3), WithMaxReplicas(2)},
 		"interval":     {WithScaleInterval(0)},
 		"occupancy":    {WithScaleUpOccupancy(2)},
 		"idle":         {WithScaleDownIdle(-time.Second)},
-	} {
-		if _, err := NewServer(m, opts...); err == nil {
-			t.Errorf("%s: invalid option accepted", name)
-		}
-	}
+	})
 
 	events := make(chan ServeScale, 64)
-	srv, err := NewServer(m,
+	reg := serveOne(t, serveModel(),
 		WithMaxBatch(1),
 		WithReplicas(1),
 		WithMaxReplicas(2),
@@ -160,10 +155,6 @@ func TestAutoscaleOptionsAndEvent(t *testing.T) {
 			}
 		})),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close(context.Background())
 
 	// Keep the queue backlogged with continuous producers (a burst that
 	// waits for its own completions can drain between scaler samples on a
@@ -180,7 +171,7 @@ func TestAutoscaleOptionsAndEvent(t *testing.T) {
 					return
 				default:
 				}
-				_, _ = srv.Infer(context.Background(), map[string]*tensor.Tensor{"x": serveInput(1, seed)})
+				_, _ = reg.Infer(context.Background(), "model", map[string]*tensor.Tensor{"x": serveInput(1, seed)})
 			}
 		}(uint64(i))
 	}
@@ -192,7 +183,7 @@ func TestAutoscaleOptionsAndEvent(t *testing.T) {
 		if !ev.Up || ev.Replicas < 2 {
 			t.Fatalf("first scale event should grow the pool: %+v", ev)
 		}
-		if st := srv.Stats(); st.ScaleUps == 0 {
+		if st := reg.Models()[0].Stats; st.ScaleUps == 0 {
 			t.Fatalf("event without counter: %+v", st)
 		}
 	case <-time.After(10 * time.Second):

@@ -1,10 +1,7 @@
 package d500
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
 	"deep500/internal/executor"
@@ -18,10 +15,12 @@ import (
 // can match backpressure conditions with errors.Is without importing
 // internal packages.
 var (
-	// ErrOverloaded is the typed backpressure signal: the server's bounded
+	// ErrOverloaded is the typed backpressure signal: the tenant's bounded
 	// admission queue is full and the request was rejected immediately.
 	ErrOverloaded = serve.ErrQueueFull
-	// ErrServerClosed is returned by Server.Infer once Close has begun.
+	// ErrServerClosed is returned once the registry has begun to close:
+	// Registry.Load after Close fails with it, and so does a Registry.Infer
+	// admitted to a tenant pool that shut down underneath it (HTTP 503).
 	ErrServerClosed = serve.ErrClosed
 	// ErrBadRequest wraps request-validation failures (missing feeds,
 	// shape mismatches, disagreeing batch dimensions).
@@ -32,8 +31,8 @@ var (
 	ErrReplicaCrash = serve.ErrReplicaCrash
 )
 
-// ServerStats is the serving counter snapshot returned by Server.Stats
-// (and rendered by the HTTP /stats route).
+// ServerStats is one tenant's serving counter snapshot (ModelStatus.Stats)
+// and the shape of RegistryStats.Aggregate and the HTTP /stats route.
 type ServerStats = serve.Stats
 
 // serverConfig is the resolved server configuration.
@@ -50,8 +49,9 @@ type serverConfig struct {
 	scaleIdle   time.Duration
 }
 
-// ServerOption configures NewServer. Options are applied in order; the
-// first error aborts construction.
+// ServerOption configures one tenant's serving pool (ModelSpec.Options).
+// Options are applied in order; the first error makes Registry.Load fail
+// and leaves any previous version serving.
 type ServerOption func(*serverConfig) error
 
 // WithMaxBatch sets the row count at which a forming micro-batch flushes
@@ -182,56 +182,38 @@ func WithSession(opts ...Option) ServerOption {
 	}
 }
 
-// Server is the online-inference front end over a pool of session
-// replicas: single-item Infer calls are coalesced by a dynamic
-// micro-batching queue into batched tensor executions and split back per
-// request. Construct with NewServer; all methods are safe for concurrent
-// use — Server is the one concurrency-safe entry point of the package
-// (see the Session concurrency contract).
-type Server struct {
-	inner  *serve.Server
-	name   string        // model name, the per-tenant metrics label
-	arena  *tensor.Arena // replica-shared arena, nil without WithArena
-	tracer *Tracer       // replica-shared tracer, nil when tracing is off
-}
-
-// NewServer builds a serving pool over the model. The replicas are
-// configured through WithSession (same vocabulary as New) and share the
-// model's parameter tensors, one kernel worker pool and one tensor arena.
-//
-// Every executed micro-batch is reported to the session hook (WithSession
-// + WithHook) as a ServeSample event.
-func NewServer(m *graph.Model, opts ...ServerOption) (*Server, error) {
-	if m == nil {
-		return nil, errors.New("d500: NewServer requires a non-nil model")
-	}
+// newServer builds one tenant's serving pool over the model: the replicas
+// are configured through WithSession (same vocabulary as New) and share the
+// model's parameter tensors, one kernel worker pool and one tensor arena,
+// returned so the registry can export its footprint (nil without
+// WithArena). Every executed micro-batch is reported to the session hook
+// (WithSession + WithHook) as a ServeSample event.
+func newServer(m *graph.Model, opts ...ServerOption) (*serve.Server, *tensor.Arena, error) {
 	cfg := serverConfig{maxBatch: serve.DefaultMaxBatch, replicas: serve.DefaultReplicas}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
 		}
 		if err := opt(&cfg); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if cfg.maxReplicas > 0 && cfg.maxReplicas < cfg.replicas {
-		return nil, fmt.Errorf("d500: WithMaxReplicas(%d) is below the replica floor %d", cfg.maxReplicas, cfg.replicas)
+		return nil, nil, fmt.Errorf("d500: WithMaxReplicas(%d) is below the replica floor %d", cfg.maxReplicas, cfg.replicas)
 	}
 	// Resolve the replica template exactly like New resolves a Session, so
 	// option validation and defaulting stay in one place.
 	base, err := New(cfg.sess...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	s := &Server{}
 	// Shared replica resources: one pool, one arena.
 	pool := base.pool
 	var arena *tensor.Arena
 	if base.cfg.arena {
 		arena = tensor.NewArena()
 	}
-	s.arena = arena
 	factory := func() (executor.GraphExecutor, error) {
 		var execOpts []executor.Option
 		if base.cfg.backend == Parallel {
@@ -267,7 +249,7 @@ func NewServer(m *graph.Model, opts ...ServerOption) (*Server, error) {
 		}
 	}
 
-	inner, err := serve.New(serve.Options{
+	srv, err := serve.New(serve.Options{
 		MaxBatch:         cfg.maxBatch,
 		MaxLinger:        cfg.linger,
 		Replicas:         cfg.replicas,
@@ -284,56 +266,14 @@ func NewServer(m *graph.Model, opts ...ServerOption) (*Server, error) {
 		Tracer:           base.tracer.raw(),
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s.inner = inner
-	s.name = m.Name
-	s.tracer = base.tracer
-	return s, nil
+	return srv, arena, nil
 }
 
-// Tracer returns the tracer serving requests record into — the one
-// WithSession(WithTrace/WithTracer) resolved — or nil when tracing is
-// off. Mount Tracer().Handler() to expose the flight recorder.
-func (s *Server) Tracer() *Tracer { return s.tracer }
-
-// Infer runs one inference request through the micro-batching pipeline.
-// Feeds must supply exactly the model's declared inputs, each with a
-// leading batch dimension; row-aligned outputs come back split to this
-// request's rows, batch-scoped outputs (a batch-mean loss) as copies.
-// ctx is honored while the request is queued; admission overload returns
-// ErrOverloaded immediately.
-func (s *Server) Infer(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	return s.inner.Infer(ctx, feeds)
-}
-
-// Handler returns the server's HTTP JSON front end: POST /v1/infer,
-// GET /stats, GET /healthz. Backpressure maps onto status codes (429
-// queue full, 503 closed, 400 bad request, 504 queued-request deadline).
-func (s *Server) Handler() http.Handler { return s.inner.Handler() }
-
-// Stats returns a snapshot of the serving counters: served requests /
-// rows / batches, mean batch occupancy, rejections, and per-batch queue
-// wait and execution means.
-func (s *Server) Stats() ServerStats { return s.inner.Stats() }
-
-// Close stops admission (Infer then returns ErrServerClosed), drains the
-// queued requests and waits for the replicas to finish. If ctx expires
-// first, in-flight passes are cancelled and Close returns ctx.Err().
-func (s *Server) Close(ctx context.Context) error { return s.inner.Close(ctx) }
-
-// poolWorkers reports the server-shared worker budget — used by d500info
-// to render serving defaults.
-func poolWorkers(p *kernels.Pool) int {
-	if p == nil {
-		p = kernels.Default
-	}
-	return p.Workers()
-}
-
-// ServerDefaults describes the serving configuration NewServer resolves
-// when no options are given — the discoverability surface d500info
-// renders next to the experiment registry.
+// ServerDefaults describes the serving configuration a Registry tenant
+// resolves when its ModelSpec carries no options — the discoverability
+// surface d500info renders next to the experiment registry.
 type ServerDefaults struct {
 	// MaxBatch / MaxLinger / Replicas / QueueDepth mirror the ServerOption
 	// defaults.
@@ -357,7 +297,7 @@ type ServerDefaults struct {
 	Frameworks []string
 }
 
-// DefaultServerConfig returns the documented NewServer defaults —
+// DefaultServerConfig returns the documented per-tenant serving defaults —
 // resolved from the same constants serve.New applies, so the rendered
 // defaults can never drift from the running ones.
 func DefaultServerConfig() ServerDefaults {
@@ -372,7 +312,7 @@ func DefaultServerConfig() ServerDefaults {
 		ScaleDownIdle:    serve.DefaultScaleDownIdle,
 		DrainGrace:       serve.DefaultDrainGrace,
 		ShedOccupancy:    serve.DefaultShedOccupancy,
-		PoolWorkers:      poolWorkers(nil),
+		PoolWorkers:      kernels.Default.Workers(),
 		Frameworks:       Frameworks(),
 	}
 }

@@ -22,29 +22,61 @@ func serveInput(rows int, seed uint64) *tensor.Tensor {
 	return tensor.RandNormal(rng, 0, 1, rows, 1, 4, 4)
 }
 
+// newTestRegistry builds a registry that is closed at test cleanup.
+func newTestRegistry(t *testing.T) *Registry {
+	t.Helper()
+	reg, err := NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close(context.Background()) })
+	return reg
+}
+
+// serveOne loads m as the sole tenant "model" of a fresh registry.
+func serveOne(t *testing.T, m *graph.Model, opts ...ServerOption) *Registry {
+	t.Helper()
+	reg := newTestRegistry(t)
+	if err := reg.Load("model", ModelSpec{Version: "v1", Model: m, Options: opts}); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// rejectsOptions checks that Registry.Load refuses every option set and
+// installs nothing.
+func rejectsOptions(t *testing.T, cases map[string][]ServerOption) {
+	t.Helper()
+	reg := newTestRegistry(t)
+	for name, opts := range cases {
+		if err := reg.Load(name, ModelSpec{Model: serveModel(), Options: opts}); err == nil {
+			t.Errorf("%s: invalid option accepted", name)
+		}
+	}
+	if ms := reg.Models(); len(ms) != 0 {
+		t.Errorf("rejected specs were installed: %+v", ms)
+	}
+}
+
 // TestServerOptionValidation mirrors the Session's fail-fast option
-// policy.
+// policy: Registry.Load refuses an invalid ServerOption or a spec without
+// a model.
 func TestServerOptionValidation(t *testing.T) {
-	m := serveModel()
-	for name, opts := range map[string][]ServerOption{
+	rejectsOptions(t, map[string][]ServerOption{
 		"batch":    {WithMaxBatch(0)},
 		"linger":   {WithMaxLinger(-time.Second)},
 		"replicas": {WithReplicas(0)},
 		"queue":    {WithQueueDepth(0)},
 		"session":  {WithSession(WithBackendName("bogus"))},
-	} {
-		if _, err := NewServer(m, opts...); err == nil {
-			t.Errorf("%s: invalid option accepted", name)
-		}
-	}
-	if _, err := NewServer(nil); err == nil {
-		t.Error("nil model accepted")
+	})
+	if err := newTestRegistry(t).Load("nil", ModelSpec{}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("nil model: %v", err)
 	}
 }
 
 // TestServerServesAndObserves drives concurrent requests through a fully
-// configured server (parallel backend, arena, replicas)
-// and checks results against a plain Session plus the ServeSample stream.
+// configured tenant (parallel backend, arena, replicas) and checks results
+// against a plain Session plus the ServeSample stream.
 func TestServerServesAndObserves(t *testing.T) {
 	m := serveModel()
 
@@ -59,7 +91,7 @@ func TestServerServesAndObserves(t *testing.T) {
 
 	var mu sync.Mutex
 	var samples []ServeSample
-	srv, err := NewServer(m,
+	reg := serveOne(t, m,
 		WithMaxBatch(4),
 		WithMaxLinger(50*time.Millisecond),
 		WithReplicas(2),
@@ -76,9 +108,6 @@ func TestServerServesAndObserves(t *testing.T) {
 			}),
 		),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const requests = 8
 	inputs := make([]*tensor.Tensor, requests)
@@ -90,7 +119,7 @@ func TestServerServesAndObserves(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = srv.Infer(context.Background(),
+			got[i], errs[i] = reg.Infer(context.Background(), "model",
 				map[string]*tensor.Tensor{"x": inputs[i]})
 		}(i)
 	}
@@ -120,9 +149,8 @@ func TestServerServesAndObserves(t *testing.T) {
 		}
 	}
 
-	if err := srv.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	// Every batch is observed before its requests are answered, so the
+	// samples are complete as soon as the last reply is in.
 	mu.Lock()
 	defer mu.Unlock()
 	if len(samples) == 0 {
@@ -135,14 +163,17 @@ func TestServerServesAndObserves(t *testing.T) {
 	if rows != requests {
 		t.Fatalf("ServeSample events account for %d rows, want %d", rows, requests)
 	}
-	st := srv.Stats()
+	st := reg.Models()[0].Stats
 	if st.Requests != requests || st.Batches != uint64(len(samples)) {
 		t.Fatalf("stats %+v disagree with %d observed samples", st, len(samples))
 	}
 
-	// Typed backpressure survives the public wrapping.
-	if _, err := srv.Infer(context.Background(), map[string]*tensor.Tensor{"x": serveInput(1, 9)}); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("want ErrServerClosed, got %v", err)
+	// Typed errors survive the public wrapping.
+	if err := reg.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Load("model", ModelSpec{Model: m}); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("load after close: want ErrServerClosed, got %v", err)
 	}
 	if d := DefaultServerConfig(); d.MaxBatch != 8 || d.Replicas != 1 || d.PoolWorkers < 1 {
 		t.Fatalf("DefaultServerConfig = %+v", d)

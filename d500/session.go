@@ -40,11 +40,11 @@ import (
 //     parameters (Train) while another session reads them is a data race
 //     the caller must exclude.
 //   - The tensor arena is internally synchronized. Each Session owns its
-//     arena (WithArena), and the replicas of a Server share one.
+//     arena (WithArena), and the replicas of a Registry tenant share one.
 //
-// For request-level serving concurrency use NewServer, which manages a
-// pool of session replicas behind a batching queue — Server, unlike
-// Session, is safe for concurrent method calls. Sessions are cheap: the
+// For request-level serving concurrency use a Registry, which serves each
+// loaded model from a pool of session replicas behind a batching queue —
+// Registry, unlike Session, is safe for concurrent method calls. Sessions are cheap: the
 // heavy state is the model's executor, built by Open.
 type Session struct {
 	cfg    config

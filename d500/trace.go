@@ -58,8 +58,8 @@ func (c TraceConfig) internal() trace.Options {
 }
 
 // Tracer is the public handle on the span tracer and its flight
-// recorder. Build one with NewTracer and share it across a Session, a
-// Server and a jobs manager via WithTracer — their spans then land in
+// recorder. Build one with NewTracer and share it across a Session, the
+// Registry tenants and a jobs manager via WithTracer — their spans then land in
 // one recorder, and Handler serves them. A nil *Tracer is valid
 // everywhere and means tracing is off.
 type Tracer struct {

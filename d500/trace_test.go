@@ -166,8 +166,8 @@ func TestObserveTracerCoversTraceNames(t *testing.T) {
 	}
 }
 
-// TestServerTracerWiring: WithSession(WithTracer) lands serve spans in
-// the shared recorder, and Server.Tracer exposes the shared handle.
+// TestServerTracerWiring: a Registry tenant's WithSession(WithTracer)
+// lands serve spans in the shared recorder.
 func TestServerTracerWiring(t *testing.T) {
 	tr, err := NewTracer(TraceConfig{SampleEvery: 1, SlowThreshold: time.Hour, Process: "serve-test"})
 	if err != nil {
@@ -183,16 +183,9 @@ func TestServerTracerWiring(t *testing.T) {
 	metrics := NewMetrics()
 	metrics.ObserveTracer(tr)
 	m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 4, Width: 4, Seed: 7}, 8)
-	srv, err := NewServer(m, WithMaxBatch(2), WithSession(WithTracer(tr)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close(context.Background())
-	if srv.Tracer() != tr {
-		t.Fatal("server does not share the tracer")
-	}
+	reg := serveOne(t, m, WithMaxBatch(2), WithSession(WithTracer(tr)))
 	rng := tensor.NewRNG(3)
-	if _, err := srv.Infer(context.Background(), map[string]*tensor.Tensor{
+	if _, err := reg.Infer(context.Background(), "model", map[string]*tensor.Tensor{
 		"x": tensor.RandNormal(rng, 0, 1, 1, 1, 4, 4),
 	}); err != nil {
 		t.Fatal(err)

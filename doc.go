@@ -8,10 +8,10 @@
 // Open/Infer/Train/Evaluate/Bench methods, context-aware execution
 // through the whole chain, and a structured event stream
 // (StepEnd/EpochEnd/EvalEnd/BenchSample/ServeSample) as the single
-// observation channel. For online inference, d500.NewServer puts a model
-// behind the serving subsystem (internal/serve): a dynamic micro-batching
-// queue over a pool of session replicas with bounded admission, fronted
-// by HTTP JSON in cmd/d500serve; d500.Load and Session.Save round-trip
+// observation channel. For online inference, a d500.Registry puts one
+// model or many behind the serving subsystem (internal/serve): per model,
+// a dynamic micro-batching queue over a pool of session replicas with
+// bounded admission, fronted by HTTP JSON in cmd/d500serve; d500.Load and Session.Save round-trip
 // trained weights through the D5NX checkpoint format. Everything under
 // internal/ is an implementation detail; cmd/ and examples/ consume only
 // the public API. See README.md §"Public API" for the migration table
@@ -21,7 +21,8 @@
 //
 // The root package carries only the repository-level benchmark harness
 // (bench_test.go): one benchmark per paper table/figure plus ablations of
-// the design choices called out in DESIGN.md §5.
+// the implementation choices behind them (GEMM, convolution and allreduce
+// algorithms, fused Adam, shuffle buffering, gradient quantization).
 //
 // Machine-readable benchmark results live in internal/bench: d500bench
 // emits bench.Report JSON (environment capture, raw samples, derived

@@ -95,7 +95,7 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 		for step := 0; step < cfg.StepsPerWorker; step++ {
 			sum := make([]float32, params.Len())
 			for w := 1; w <= workers; w++ {
-				g, err := recvCtx(ctx, r, w)
+				g, err := r.RecvCtx(ctx, w)
 				if err != nil {
 					return err
 				}
@@ -115,7 +115,7 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 			// shut the server down while slower workers still train.
 			finished := make(map[int]bool)
 			for len(finished) < workers {
-				g, src, tag, err := recvAnyCtx(ctx, r)
+				g, src, tag, err := r.RecvAnyCtx(ctx)
 				if err != nil {
 					return err
 				}
@@ -129,7 +129,7 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 			return nil
 		}
 		for done := 0; done < workers*cfg.StepsPerWorker; done++ {
-			g, src, _, err := recvAnyCtx(ctx, r)
+			g, src, _, err := r.RecvAnyCtx(ctx)
 			if err != nil {
 				return err
 			}
@@ -158,7 +158,7 @@ func RunPSServer(ctx context.Context, r Rank, rule training.ThreeStep, params *P
 			}
 		}
 		for done := 0; done < workers*cfg.StepsPerWorker; done++ {
-			g, src, _, err := recvAnyCtx(ctx, r)
+			g, src, _, err := r.RecvAnyCtx(ctx)
 			if err != nil {
 				return err
 			}

@@ -38,22 +38,15 @@ type Rank interface {
 	// RecvAnyTagged blocks for the next message from any rank, returning
 	// payload, source and tag.
 	RecvAnyTagged() ([]float32, int, int)
-	// AllreduceSum sums data elementwise across all ranks, in place.
-	AllreduceSum(algo mpi.AllreduceAlgo, data []float32, simBytes int64)
-}
-
-// CancelableRank is the optional context-aware receive surface of a Rank.
-// Fabrics that implement it let a blocked server unblock promptly on
-// context cancellation instead of waiting for the next message; both
-// *mpi.Rank and transport.TCPRank do, and RunPSServer uses it when
-// available.
-type CancelableRank interface {
 	// RecvCtx is Recv(src) that returns ctx.Err() if the context ends
-	// before a message arrives.
+	// before a message arrives, so a blocked RunPSServer unblocks promptly
+	// on cancellation instead of waiting for the next message.
 	RecvCtx(ctx context.Context, src int) ([]float32, error)
 	// RecvAnyCtx is RecvAnyTagged that returns ctx.Err() if the context
 	// ends before a message arrives.
 	RecvAnyCtx(ctx context.Context) (data []float32, src, tag int, err error)
+	// AllreduceSum sums data elementwise across all ranks, in place.
+	AllreduceSum(algo mpi.AllreduceAlgo, data []float32, simBytes int64)
 }
 
 // Message tags of the parameter-server wire protocol (frames between a
@@ -65,26 +58,6 @@ const (
 	// (ServerConfig.UntilDone): no gradient, no reply expected.
 	TagDone = 1
 )
-
-// recvCtx receives from src honoring ctx when the fabric supports it;
-// otherwise it falls back to the blocking receive (cancellation then takes
-// effect at the next message boundary).
-func recvCtx(ctx context.Context, r Rank, src int) ([]float32, error) {
-	if cr, ok := r.(CancelableRank); ok {
-		return cr.RecvCtx(ctx, src)
-	}
-	return r.Recv(src), nil
-}
-
-// recvAnyCtx receives from any rank honoring ctx when the fabric supports
-// it, falling back to the blocking receive otherwise.
-func recvAnyCtx(ctx context.Context, r Rank) ([]float32, int, int, error) {
-	if cr, ok := r.(CancelableRank); ok {
-		return cr.RecvAnyCtx(ctx)
-	}
-	data, src, tag := r.RecvAnyTagged()
-	return data, src, tag, nil
-}
 
 // RingAllreduce sums data elementwise across all ranks in place using the
 // bandwidth-optimal ring algorithm (reduce-scatter then allgather on n/p

@@ -1,7 +1,7 @@
 // Package frameworks emulates the DL frameworks the Deep500 paper
 // integrates and benchmarks — TensorFlow, PyTorch and Caffe2 — as backend
 // profiles over the shared kernel substrate, plus the bare-kernel
-// "DeepBench" baseline (see DESIGN.md substitutions).
+// "DeepBench" baseline (see docs/kernels.md).
 //
 // Each profile reproduces the mechanisms behind the paper's observations:
 //

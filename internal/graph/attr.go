@@ -9,8 +9,8 @@
 // AddInitializer, Validate, TopoSort, InferShapes, Clone/ShallowClone),
 // Node and the Attribute constructors (IntAttr, FloatAttr, StringAttr,
 // IntsAttr, TensorAttr), the schema registry (RegisterSchema,
-// LookupSchema, SchemaNames), serialization (Save/Load, Encode/Decode,
-// EncodeJSON/DecodeJSON) and NewVisitor.
+// LookupSchema, SchemaNames), serialization to the one model format, the
+// D5NX binary encoding (Save/Load, Encode/Decode), and NewVisitor.
 package graph
 
 import (

@@ -5,8 +5,8 @@
 // accuracy metric node ("acc"), reading inputs "x" and "labels".
 //
 // Builders accept a width scale so CPU-feasible convergence experiments can
-// shrink channel counts while preserving topology; the scale used by each
-// experiment is recorded in EXPERIMENTS.md.
+// shrink channel counts while preserving topology; each experiment driver
+// in internal/core sets the scale it runs at.
 package models
 
 import (

@@ -3,7 +3,7 @@ package mpi
 // Collective operations. Two allreduce algorithms are provided — ring
 // (bandwidth-optimal, 2(p-1) steps on n/p chunks) and recursive doubling
 // (latency-optimal, log p steps on full n) — so their tradeoff can be
-// benchmarked (ablation bench in DESIGN.md §5). All collectives move real
+// benchmarked (BenchmarkAblationAllreduce). All collectives move real
 // data and charge virtual time through the underlying Send/Recv.
 
 // AllreduceAlgo selects the allreduce implementation.

@@ -1,5 +1,5 @@
 // Package mpi is the message-passing substrate of Deep500-Go's Level 3.
-// It stands in for MPI-on-Aries in the paper's evaluation (see DESIGN.md):
+// It stands in for MPI-on-Aries in the paper's evaluation:
 // ranks are goroutines that exchange *real data* through in-memory
 // mailboxes — so distributed algorithms are executed for real and can be
 // validated bit-for-bit against serial execution — while every operation

@@ -378,7 +378,7 @@ func TestChaosSwapNeverRoutesToDeadPool(t *testing.T) {
 	v1 := ModelSpec{Version: "v1", Build: func() (*Server, error) {
 		return New(Options{MaxBatch: 1, Replicas: 2, QueueDepth: 32, NewExecutor: crashyFactory(m, &armed)})
 	}}
-	if err := r.Load("model", v1); err != nil {
+	if _, err := r.Load("model", v1); err != nil {
 		t.Fatal(err)
 	}
 	feeds := func(seed uint64) map[string]*tensor.Tensor {
@@ -422,8 +422,7 @@ func TestChaosSwapNeverRoutesToDeadPool(t *testing.T) {
 	armed.Store(1 << 20)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		srv, ok := r.Get("model")
-		if ok && srv.Stats().LiveReplicas == 0 {
+		if ms := r.Models(); len(ms) == 1 && ms[0].Stats.LiveReplicas == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -434,7 +433,7 @@ func TestChaosSwapNeverRoutesToDeadPool(t *testing.T) {
 
 	// Swap in a healthy v2 while the hammers are still firing.
 	armed.Store(-1)
-	if err := r.Load("model", testSpec(m, "v2", 0, Options{Replicas: 2, QueueDepth: 1024})); err != nil {
+	if _, err := r.Load("model", testSpec(m, "v2", 0, Options{Replicas: 2, QueueDepth: 1024})); err != nil {
 		t.Fatal(err)
 	}
 	// After the swap commits, the registry must never route to the dead

@@ -30,7 +30,7 @@ func fuzzRegistry(f *testing.F) *Registry {
 			NewExecutor: func() (executor.GraphExecutor, error) { return executor.New(m) },
 		})
 	}}
-	if err := r.Load("fuzz", spec); err != nil {
+	if _, err := r.Load("fuzz", spec); err != nil {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { r.Close(context.Background()) })

@@ -11,19 +11,12 @@ import (
 	"deep500/internal/tensor"
 )
 
-// HTTP JSON front end. The handler exposes three routes:
-//
-//	POST /v1/infer  — run one inference request through the micro-batcher
-//	GET  /stats     — serving counters (Stats) as JSON
-//	GET  /healthz   — liveness probe
+// JSON codec of the HTTP front end (Registry.Handler, registry_http.go):
+// the inference wire types, feed decoding, trace-header propagation and
+// the mapping of the serving error taxonomy onto status codes.
 //
 // Request body:  {"feeds":  {"x": {"shape": [1,1,28,28], "data": [...]}}}
 // Response body: {"outputs": {"fc_9_y": {"shape": [1,10], "data": [...]}}}
-//
-// Backpressure maps onto status codes: 429 when the admission queue is
-// full, 503 after shutdown began, 400 for malformed feeds, 504 when the
-// request's deadline expired while queued, 500 when the replica serving
-// the request crashed mid-batch (ErrReplicaCrash).
 
 // TensorJSON is the wire form of a tensor: an explicit shape plus the
 // row-major float32 data.
@@ -51,41 +44,9 @@ type errorResponse struct {
 // beyond any sane single inference request).
 const maxBodyBytes = 64 << 20
 
-// Handler returns the server's HTTP front end.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/infer", s.handleInfer)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	return mux
-}
-
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	feeds, ok := decodeFeeds(w, r)
-	if !ok {
-		return
-	}
-	ctx, capture := traceContext(r)
-	outs, err := s.Infer(ctx, feeds)
-	echoTrace(w, capture)
-	if err != nil {
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	writeOutputs(w, outs)
-}
-
 // traceContext wires trace propagation into one inference request: an
 // inbound d500-trace header joins the caller's trace, and a capture slot
 // lets Server.Infer report the root span it started for the request.
-// Shared by the single-model handler and the registry front end.
 func traceContext(r *http.Request) (context.Context, *trace.Capture) {
 	ctx := r.Context()
 	if rm, ok := trace.Parse(r.Header.Get(trace.HeaderName)); ok {
@@ -106,8 +67,7 @@ func echoTrace(w http.ResponseWriter, capture *trace.Capture) {
 }
 
 // decodeFeeds parses and validates an InferRequest body, writing the 400
-// response itself on failure (second result false). Shared by the
-// single-model handler and the registry front end.
+// response itself on failure (second result false).
 func decodeFeeds(w http.ResponseWriter, r *http.Request) (map[string]*tensor.Tensor, bool) {
 	var req InferRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -141,14 +101,6 @@ func writeOutputs(w http.ResponseWriter, outs map[string]*tensor.Tensor) {
 		resp.Outputs[name] = TensorJSON{Shape: t.Shape(), Data: t.Data()}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 // statusFor maps the serving error taxonomy onto HTTP status codes.

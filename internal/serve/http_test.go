@@ -29,6 +29,22 @@ func testServer(t *testing.T, opts Options) *Server {
 	return srv
 }
 
+// serveHTTP fronts srv with Registry.Handler as the registry's only tenant,
+// the deployment shape of a single-model d500serve.
+func serveHTTP(t *testing.T, srv *Server) *httptest.Server {
+	t.Helper()
+	r := NewRegistry(RegistryOptions{})
+	if _, err := r.Load("model", ModelSpec{Version: "v1", Build: func() (*Server, error) { return srv, nil }}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(r.Handler(nil))
+	t.Cleanup(func() {
+		ts.Close()
+		r.Close(context.Background())
+	})
+	return ts
+}
+
 func postInfer(t *testing.T, ts *httptest.Server, body any) *http.Response {
 	t.Helper()
 	raw, err := json.Marshal(body)
@@ -46,8 +62,7 @@ func postInfer(t *testing.T, ts *httptest.Server, body any) *http.Response {
 // the HTTP result matches a direct Server.Infer of the same input.
 func TestHTTPInferRoundTrip(t *testing.T) {
 	srv := testServer(t, Options{MaxBatch: 4, MaxLinger: 5 * time.Millisecond})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := serveHTTP(t, srv)
 
 	x := make([]float32, 16)
 	for i := range x {
@@ -105,11 +120,19 @@ func TestHTTPInferRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHTTPErrorMapping checks the status-code taxonomy of the front end.
+// TestHTTPErrorMapping checks the status-code taxonomy of the front end:
+// 400 for malformed feeds, 405 for a wrong method, 504 for a deadline that
+// expires while queued, 429 for a full queue and 503 once the tenant's
+// server has closed.
 func TestHTTPErrorMapping(t *testing.T) {
-	srv := testServer(t, Options{MaxBatch: 1})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	m := models.MLP(models.Config{Classes: 4, Channels: 1, Height: 4, Width: 4, Seed: 7}, 8)
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	srv := testServer(t, Options{MaxBatch: 1, Replicas: 1, QueueDepth: 1,
+		NewExecutor: gatedFactory(m, entered, gate)})
+	ts := serveHTTP(t, srv)
+	ok := InferRequest{Feeds: map[string]TensorJSON{
+		"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)}}}
 
 	cases := []struct {
 		name string
@@ -142,23 +165,52 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Errorf("GET /v1/infer: status %d", resp.StatusCode)
 	}
 
-	// Closing the server turns requests into 503s.
+	// Wedge the only replica inside its first pass.
+	wedged := make(chan int, 1)
+	go func() {
+		resp := postInfer(t, ts, ok)
+		resp.Body.Close()
+		wedged <- resp.StatusCode
+	}()
+	<-entered
+
+	// A request whose deadline expires while queued answers 504; its
+	// abandoned slot keeps the one-deep queue full, so the next is a 429.
+	raw, _ := json.Marshal(ok)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer",
+		bytes.NewReader(raw)).WithContext(ctx))
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Errorf("deadline while queued: status %d, want 504", rec.Code)
+	}
+	resp = postInfer(t, ts, ok)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("full queue: status %d, want 429", resp.StatusCode)
+	}
+	close(gate)
+	if code := <-wedged; code != http.StatusOK {
+		t.Errorf("wedged request: status %d, want 200", code)
+	}
+
+	// Closing the tenant's server turns requests into 503s.
 	if err := srv.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resp = postInfer(t, ts, InferRequest{Feeds: map[string]TensorJSON{
-		"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)}}})
+	resp = postInfer(t, ts, ok)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("closed server: status %d, want 503", resp.StatusCode)
 	}
 }
 
-// TestHTTPStatsAndHealth covers the observability routes.
+// TestHTTPStatsAndHealth covers the observability routes: for a single
+// tenant, /stats carries that tenant's counters in the Stats shape.
 func TestHTTPStatsAndHealth(t *testing.T) {
 	srv := testServer(t, Options{MaxBatch: 2, Replicas: 1})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := serveHTTP(t, srv)
 
 	resp := postInfer(t, ts, InferRequest{Feeds: map[string]TensorJSON{
 		"x": {Shape: []int{1, 1, 4, 4}, Data: make([]float32, 16)}}})
@@ -175,11 +227,11 @@ func TestHTTPStatsAndHealth(t *testing.T) {
 	if sr.StatusCode != http.StatusOK {
 		t.Fatalf("/stats: status %d", sr.StatusCode)
 	}
-	var st Stats
+	var st registryStatsJSON
 	if err := json.NewDecoder(sr.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 1 || st.Batches != 1 || st.MaxBatch != 2 {
+	if st.Requests != 1 || st.Batches != 1 || len(st.Models) != 1 || st.Models[0].Stats.MaxBatch != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 

@@ -71,9 +71,6 @@ type RegistryOptions struct {
 	// which a model is considered pressured for priority shedding
 	// (default 0.5).
 	ShedOccupancy float64
-	// OnModel, when non-nil, is called after every registry mutation with
-	// the model name and the operation ("load", "swap", "unload").
-	OnModel func(name, op string)
 }
 
 // Registry is the multi-tenant serving front: a mutable name → server
@@ -120,32 +117,33 @@ func NewRegistry(opts RegistryOptions) *Registry {
 // in, so a failing build leaves the previous version serving untouched.
 // On a swap the old version's server stops admitting immediately and
 // drains its in-flight requests in the background, bounded by DrainGrace.
-func (r *Registry) Load(name string, spec ModelSpec) error {
+// swapped reports whether the load replaced a served version; it is decided
+// under the same lock that installs the new server, so it cannot race a
+// concurrent Load or Unload of the name.
+func (r *Registry) Load(name string, spec ModelSpec) (swapped bool, err error) {
 	if name == "" {
-		return fmt.Errorf("%w: empty model name", ErrBadRequest)
+		return false, fmt.Errorf("%w: empty model name", ErrBadRequest)
 	}
 	if spec.Build == nil {
-		return fmt.Errorf("serve: loading %q: ModelSpec.Build is required", name)
+		return false, fmt.Errorf("serve: loading %q: ModelSpec.Build is required", name)
 	}
 	srv, err := spec.Build()
 	if err != nil {
-		return fmt.Errorf("serve: loading %q: %w", name, err)
+		return false, fmt.Errorf("serve: loading %q: %w", name, err)
 	}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		r.drainAsync(srv)
-		return ErrClosed
+		return false, ErrClosed
 	}
 	old := r.models[name]
 	r.models[name] = &modelEntry{srv: srv, version: spec.Version, priority: spec.Priority}
 	r.mu.Unlock()
 
-	op := "load"
 	r.statsMu.Lock()
 	if old != nil {
 		r.swaps++
-		op = "swap"
 	} else {
 		r.loads++
 	}
@@ -153,10 +151,7 @@ func (r *Registry) Load(name string, spec ModelSpec) error {
 	if old != nil {
 		r.drainAsync(old.srv)
 	}
-	if r.opts.OnModel != nil {
-		r.opts.OnModel(name, op)
-	}
-	return nil
+	return old != nil, nil
 }
 
 // Unload removes the named model and drains its server in the background.
@@ -174,9 +169,6 @@ func (r *Registry) Unload(name string) error {
 	r.unloads++
 	r.statsMu.Unlock()
 	r.drainAsync(e.srv)
-	if r.opts.OnModel != nil {
-		r.opts.OnModel(name, "unload")
-	}
 	return nil
 }
 
@@ -241,17 +233,18 @@ func (r *Registry) Infer(ctx context.Context, name string, feeds map[string]*ten
 	return outs, err
 }
 
-// Get returns the named model's current server (for stats and direct
-// in-process serving). The second result reports whether the model is
-// loaded.
-func (r *Registry) Get(name string) (*Server, bool) {
+// soleModel returns the name of the only loaded model and the number of
+// loaded models; the name is empty unless exactly one is loaded. It is the
+// per-request route of a bare POST /v1/infer, so it reads the table under
+// the read lock instead of snapshotting every tenant's Stats.
+func (r *Registry) soleModel() (name string, n int) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	e, ok := r.models[name]
-	if !ok {
-		return nil, false
+	if n = len(r.models); n == 1 {
+		for name = range r.models {
+		}
 	}
-	return e.srv, true
+	return name, n
 }
 
 // ModelStatus is one tenant's reportable state: identity, routing facts,

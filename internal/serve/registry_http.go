@@ -7,8 +7,9 @@ import (
 	"net/http"
 )
 
-// Multi-tenant HTTP front end. Registry.Handler exposes the model
-// lifecycle alongside inference:
+// HTTP front end. Registry.Handler is the serving stack's one HTTP surface
+// (a single-model deployment is a registry with one tenant); it exposes the
+// model lifecycle alongside inference:
 //
 //	POST   /v1/infer               — route to the sole model (or ?model=name)
 //	POST   /v1/models/{name}/infer — route to a named model
@@ -16,13 +17,14 @@ import (
 //	DELETE /v1/models/{name}       — unload (drains in the background)
 //	GET    /v1/models              — list loaded models with stats + signatures
 //	GET    /v1/models/{name}       — one model's status
-//	GET    /stats                  — aggregate counters (single-server shape,
+//	GET    /stats                  — aggregate counters (the Stats shape,
 //	                                 plus per-model and registry sections)
 //	GET    /healthz                — liveness probe
 //
-// Unknown models answer 404; priority-shed and queue-full admissions 429;
-// a PUT body that fails to decode 400. The single-model error taxonomy
-// (statusFor) applies to inference unchanged.
+// A bare /v1/infer answers 404 when no model is loaded and 400 when several
+// are. Unknown models answer 404; priority-shed and queue-full admissions
+// 429; a PUT body that fails to decode 400. Inference errors map through
+// statusFor (http.go).
 
 // maxControlBodyBytes bounds model-lifecycle request bodies; control
 // messages are tiny compared to inference payloads.
@@ -58,9 +60,8 @@ type loadedResponse struct {
 }
 
 // registryStatsJSON is the GET /stats body: the aggregate counters in the
-// single-server Stats shape (so single-model dashboards and probes keep
-// working against a registry-backed server), plus the per-model list and
-// the registry lifecycle counters.
+// per-server Stats shape (for a single tenant they are that tenant's
+// counters), plus the per-model list and the registry lifecycle counters.
 type registryStatsJSON struct {
 	Stats
 	Models   []ModelStatus        `json:"models"`
@@ -83,18 +84,17 @@ func (r *Registry) Handler(load LoadFunc) http.Handler {
 	mux.HandleFunc("POST /v1/infer", func(w http.ResponseWriter, req *http.Request) {
 		name := req.URL.Query().Get("model")
 		if name == "" {
-			models := r.Models()
-			switch len(models) {
-			case 1:
-				name = models[0].Name
-			case 0:
+			sole, n := r.soleModel()
+			switch {
+			case n == 0:
 				writeError(w, http.StatusNotFound, "no models loaded")
 				return
-			default:
+			case n > 1:
 				writeError(w, http.StatusBadRequest,
 					"multiple models loaded; use ?model=name or /v1/models/{name}/infer")
 				return
 			}
+			name = sole
 		}
 		r.serveInfer(w, req, name)
 	})
@@ -179,8 +179,8 @@ func (r *Registry) serveLoad(w http.ResponseWriter, req *http.Request, load Load
 		writeError(w, http.StatusBadRequest, "resolving load request: "+err.Error())
 		return
 	}
-	_, swapped := r.Get(name)
-	if err := r.Load(name, spec); err != nil {
+	swapped, err := r.Load(name, spec)
+	if err != nil {
 		status := http.StatusInternalServerError
 		switch {
 		case errors.Is(err, ErrClosed):

@@ -39,10 +39,10 @@ func TestRegistryRoutesAndLifecycle(t *testing.T) {
 	mlp, lenet := zoo["mlp"], zoo["lenet"]
 	r := NewRegistry(RegistryOptions{})
 	defer r.Close(context.Background())
-	if err := r.Load("mlp", testSpec(mlp, "v1", 0, Options{})); err != nil {
+	if _, err := r.Load("mlp", testSpec(mlp, "v1", 0, Options{})); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Load("lenet", testSpec(lenet, "v1", 0, Options{})); err != nil {
+	if _, err := r.Load("lenet", testSpec(lenet, "v1", 0, Options{})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,7 +99,7 @@ func TestRegistrySwapDrainsOldVersion(t *testing.T) {
 	v1 := ModelSpec{Version: "v1", Build: func() (*Server, error) {
 		return New(Options{MaxBatch: 1, NewExecutor: gatedFactory(m, entered, gate)})
 	}}
-	if err := r.Load("model", v1); err != nil {
+	if _, err := r.Load("model", v1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +112,7 @@ func TestRegistrySwapDrainsOldVersion(t *testing.T) {
 	<-entered
 
 	// Swap in v2 while v1 is mid-batch.
-	if err := r.Load("model", testSpec(m, "v2", 0, Options{})); err != nil {
+	if _, err := r.Load("model", testSpec(m, "v2", 0, Options{})); err != nil {
 		t.Fatal(err)
 	}
 	list := r.Models()
@@ -156,13 +156,13 @@ func TestRegistryPrioritySheds(t *testing.T) {
 	hi := ModelSpec{Version: "v1", Priority: 2, Build: func() (*Server, error) {
 		return New(Options{MaxBatch: 1, QueueDepth: 4, NewExecutor: gatedFactory(m, entered, gate)})
 	}}
-	if err := r.Load("hi", hi); err != nil {
+	if _, err := r.Load("hi", hi); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Load("lo", testSpec(m, "v1", 1, Options{})); err != nil {
+	if _, err := r.Load("lo", testSpec(m, "v1", 1, Options{})); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Load("peer", testSpec(m, "v1", 2, Options{})); err != nil {
+	if _, err := r.Load("peer", testSpec(m, "v1", 2, Options{})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,7 +255,7 @@ func TestMultiModelConformance(t *testing.T) {
 			r := NewRegistry(RegistryOptions{})
 			defer r.Close(context.Background())
 			for name, m := range pair {
-				if err := r.Load(name, testSpec(m, "v1", 0, srvOpts, opts...)); err != nil {
+				if _, err := r.Load(name, testSpec(m, "v1", 0, srvOpts, opts...)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -30,8 +30,8 @@
 // model, each with its own queue + replica pool, hot load/unload and
 // atomic version swap (see registry.go).
 //
-// Public entry points: New (with Options), Server.Infer, Server.Handler
-// (the HTTP JSON front end), Server.Stats and Server.Close. Per-request
+// Public entry points: New (with Options), Server.Infer, Server.Stats and
+// Server.Close; Registry.Handler is the HTTP JSON front end. Per-request
 // context deadlines are honored while a request is queued; once its batch
 // is dispatched the pass runs to completion and abandoned results are
 // discarded.
@@ -142,9 +142,10 @@ type Options struct {
 	// must be built over the same model so they share parameter tensors.
 	// Required.
 	NewExecutor func() (executor.GraphExecutor, error)
-	// Observe, when non-nil, receives one Sample per executed batch.
-	// Calls are serialized across replicas, so the observer need not be
-	// thread-safe (the d500 Hook contract).
+	// Observe, when non-nil, receives one Sample per executed batch,
+	// before any of the batch's requests is answered. Calls are
+	// serialized across replicas, so the observer need not be thread-safe
+	// (the d500 Hook contract).
 	Observe func(Sample)
 	// Respawn rebuilds a crashed replica from the shared weights (via
 	// NewExecutor) and returns it to the pool. When unset a crashed replica
@@ -220,7 +221,6 @@ type Server struct {
 	opts    Options
 	inputs  []graph.TensorInfo
 	outputs []string
-	model   *graph.Model
 
 	queue   chan *request
 	ctx     context.Context
@@ -301,7 +301,6 @@ func New(opts Options) (*Server, error) {
 		execs = append(execs, e)
 	}
 	m := execs[0].Network().Model
-	s.model = m
 	s.inputs = m.Inputs
 	s.outputs = m.Outputs
 	for _, e := range execs {
@@ -313,9 +312,6 @@ func New(opts Options) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Model returns the served model.
-func (s *Server) Model() *graph.Model { return s.model }
 
 // Infer runs one inference request through the micro-batching pipeline
 // and returns the model's declared outputs for this request's rows.
@@ -559,16 +555,21 @@ func (s *Server) handleCrash(id int, crashErr error, batch []*request) {
 	failed := 0
 	for _, r := range batch {
 		if !r.answered {
-			r.finish(nil, crashErr)
 			failed++
 		}
 	}
+	// Count the crash before answering it, like every other reply path.
 	s.statsMu.Lock()
 	s.stats.fails += uint64(failed)
 	s.stats.crashes++
 	delete(s.stops, id)
 	s.live--
 	s.statsMu.Unlock()
+	for _, r := range batch {
+		if !r.answered {
+			r.finish(nil, crashErr)
+		}
+	}
 
 	respawned := false
 	if s.opts.Respawn {
@@ -606,10 +607,10 @@ func (s *Server) handleCrash(id int, crashErr error, batch []*request) {
 func (s *Server) drainDead() {
 	defer s.wg.Done()
 	for req := range s.queue {
-		req.finish(nil, fmt.Errorf("%w: no live replicas", ErrReplicaCrash))
 		s.statsMu.Lock()
 		s.stats.fails++
 		s.statsMu.Unlock()
+		req.finish(nil, fmt.Errorf("%w: no live replicas", ErrReplicaCrash))
 	}
 }
 
@@ -701,19 +702,15 @@ func (s *Server) execute(id int, e executor.GraphExecutor, batch []*request) {
 	// Requests whose context expired while queued are answered with their
 	// context error and excluded from the pass.
 	live := make([]*request, 0, len(batch))
-	expired := 0
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
+			s.statsMu.Lock()
+			s.stats.expired++
+			s.statsMu.Unlock()
 			r.finish(nil, err)
-			expired++
 			continue
 		}
 		live = append(live, r)
-	}
-	if expired > 0 {
-		s.statsMu.Lock()
-		s.stats.expired += uint64(expired)
-		s.statsMu.Unlock()
 	}
 	if len(live) == 0 {
 		return
@@ -786,18 +783,18 @@ func (s *Server) execute(id int, e executor.GraphExecutor, batch []*request) {
 	} else {
 		err = fmt.Errorf("serve: batched inference failed: %w", err)
 	}
+	// Every path counts (and observes) a batch before answering it: a
+	// client that reads Stats or the ServeSample stream right after its
+	// reply must see its own request.
 	if err != nil {
-		for _, r := range live {
-			r.finish(nil, err)
-		}
 		s.statsMu.Lock()
 		s.stats.fails += uint64(len(live))
 		s.statsMu.Unlock()
+		for _, r := range live {
+			r.finish(nil, err)
+		}
 		return
 	}
-
-	// Count the batch before answering it: a client that reads Stats right
-	// after its reply must see its own request.
 	s.statsMu.Lock()
 	s.stats.requests += uint64(len(live))
 	s.stats.rows += uint64(rows)
@@ -805,10 +802,6 @@ func (s *Server) execute(id int, e executor.GraphExecutor, batch []*request) {
 	s.stats.queueWait += wait
 	s.stats.execTime += execTime
 	s.statsMu.Unlock()
-	for i, r := range live {
-		r.finish(results[i], nil)
-	}
-
 	if s.opts.Observe != nil {
 		s.observeMu.Lock()
 		s.opts.Observe(Sample{
@@ -819,6 +812,9 @@ func (s *Server) execute(id int, e executor.GraphExecutor, batch []*request) {
 			Exec:      execTime,
 		})
 		s.observeMu.Unlock()
+	}
+	for i, r := range live {
+		r.finish(results[i], nil)
 	}
 }
 

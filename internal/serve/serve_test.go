@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,6 +196,88 @@ func TestStatsCountBeforeReply(t *testing.T) {
 		for err := range errs {
 			t.Fatal(err)
 		}
+	}
+}
+
+// scriptedExec holds its pass until release is closed, then serves,
+// fails or panics as scripted.
+type scriptedExec struct {
+	executor.GraphExecutor
+	path             string // "served", "failed" or "crashed"
+	entered, release chan struct{}
+}
+
+func (e *scriptedExec) Inference(ctx context.Context, feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	e.entered <- struct{}{}
+	<-e.release
+	switch e.path {
+	case "failed":
+		return nil, errors.New("scripted pass failure")
+	case "crashed":
+		panic("scripted replica fault")
+	}
+	return e.GraphExecutor.Inference(ctx, feeds)
+}
+
+// TestCountAndObserveBeforeReply pins the accounting order on every reply
+// path: a served, failed-batch or crashed request is counted in Stats, and
+// a served batch is delivered to Observe, before the request is answered.
+// The test holds the stats lock while the pass ends: a reply that arrives
+// meanwhile was sent before its counters were recorded. The observer is
+// slow, so a sample recorded after the reply shows up as missing.
+func TestCountAndObserveBeforeReply(t *testing.T) {
+	m := zooModels()["mlp"]
+	for _, path := range []string{"served", "failed", "crashed"} {
+		t.Run(path, func(t *testing.T) {
+			ex := &scriptedExec{GraphExecutor: executor.MustNew(m), path: path,
+				entered: make(chan struct{}), release: make(chan struct{})}
+			var observed atomic.Int64
+			srv, err := New(Options{
+				MaxBatch:    1,
+				NewExecutor: func() (executor.GraphExecutor, error) { return ex, nil },
+				Observe: func(Sample) {
+					time.Sleep(20 * time.Millisecond)
+					observed.Add(1)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close(context.Background())
+
+			replied := make(chan error, 1)
+			go func() {
+				_, err := srv.Infer(context.Background(), map[string]*tensor.Tensor{"x": inputFor(m, 1, 1)})
+				replied <- err
+			}()
+			<-ex.entered
+			srv.statsMu.Lock()
+			close(ex.release)
+			select {
+			case <-replied:
+				srv.statsMu.Unlock()
+				t.Fatal("request answered before its counters were recorded")
+			case <-time.After(50 * time.Millisecond):
+			}
+			srv.statsMu.Unlock()
+			err = <-replied
+			st, obs := srv.Stats(), observed.Load()
+
+			switch path {
+			case "served":
+				if err != nil || st.Requests != 1 || st.Batches != 1 || obs != 1 {
+					t.Fatalf("after a served reply: err %v, stats %+v, %d samples observed", err, st, obs)
+				}
+			case "failed":
+				if err == nil || st.Failed != 1 || obs != 0 {
+					t.Fatalf("after a failed reply: err %v, stats %+v, %d samples observed", err, st, obs)
+				}
+			case "crashed":
+				if !errors.Is(err, ErrReplicaCrash) || st.Failed != 1 || st.Crashes != 1 {
+					t.Fatalf("after a crashed reply: err %v, stats %+v", err, st)
+				}
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -156,9 +155,7 @@ func TestTraceSpanTreeUnderLoad(t *testing.T) {
 // context for the access log to pick up.
 func TestTraceHTTPPropagation(t *testing.T) {
 	tr := trace.New(trace.Options{Seed: 13, SampleEvery: 1, SlowThreshold: time.Hour, Process: "serve-test"})
-	srv := traceTestServer(t, tr, nil)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	ts := serveHTTP(t, traceTestServer(t, tr, nil))
 
 	body := `{"feeds":{"x":{"shape":[1,1,4,4],"data":[` + strings.Repeat("0.5,", 15) + `0.5]}}}`
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/infer", strings.NewReader(body))
@@ -192,9 +189,7 @@ func TestTraceHTTPPropagation(t *testing.T) {
 	}
 
 	// An untraced server sets no header.
-	srv2 := traceTestServer(t, nil, nil)
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
+	ts2 := serveHTTP(t, traceTestServer(t, nil, nil))
 	req2, _ := http.NewRequest("POST", ts2.URL+"/v1/infer", strings.NewReader(body))
 	resp2, err := http.DefaultClient.Do(req2)
 	if err != nil {

@@ -131,10 +131,9 @@ type peer struct {
 	gen  int // bumped on every (re)install, guards stale teardown
 }
 
-// TCPRank is the networked fabric: it implements dist.Rank (and
-// dist.CancelableRank) over persistent TCP connections, one duplex
-// connection per peer pair, established by the higher rank dialing the
-// lower. Frames are demultiplexed by per-connection reader goroutines into
+// TCPRank is the networked fabric: it implements dist.Rank over persistent
+// TCP connections, one duplex connection per peer pair, established by the
+// higher rank dialing the lower. Frames are demultiplexed by per-connection reader goroutines into
 // per-source mailboxes, so sends never block on the application draining
 // and the ring allreduce's send-then-receive step cannot deadlock.
 //
@@ -171,10 +170,7 @@ type TCPRank struct {
 	peerTrace atomic.Pointer[[2]uint64]
 }
 
-var (
-	_ dist.Rank           = (*TCPRank)(nil)
-	_ dist.CancelableRank = (*TCPRank)(nil)
-)
+var _ dist.Rank = (*TCPRank)(nil)
 
 // New builds the rank, starts its accept loop, and eagerly dials every
 // lower rank (with bounded retry-with-backoff, so peers may come up in any

@@ -402,9 +402,6 @@ func TestTCPRankImplementsDistRank(t *testing.T) {
 	if r.ID() != 0 || r.Size() != 2 {
 		t.Fatal("identity mismatch through the interface")
 	}
-	if _, ok := r.(dist.CancelableRank); !ok {
-		t.Fatal("TCPRank lost the cancelable receive surface")
-	}
 }
 
 // TestTraceContextPropagation: a sender's trace context stamps its frames

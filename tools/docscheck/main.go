@@ -9,7 +9,10 @@
 //  3. drift between the canonical metric list (internal/obs/names.go)
 //     and the metric reference in docs/operations.md — every canonical
 //     series must be documented there, and every d500_* series the doc
-//     mentions must exist in code.
+//     mentions must exist in code; and
+//  4. stale document references in Go comments — every *.md path a
+//     non-generated Go comment names must exist, resolved from the
+//     repository root or from the commenting file's directory.
 //
 // Usage: go run ./tools/docscheck [repo-root]   (default ".")
 package main
@@ -37,6 +40,7 @@ func main() {
 	problems = append(problems, checkMarkdownLinks(root)...)
 	problems = append(problems, checkDocComments(filepath.Join(root, "d500"))...)
 	problems = append(problems, checkMetricsDocs(filepath.Join(root, "docs", "operations.md"))...)
+	problems = append(problems, checkCommentDocRefs(root)...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -44,7 +48,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, d500 doc comments and metric reference OK")
+	fmt.Println("docscheck: markdown links, d500 doc comments, metric reference and comment doc references OK")
 }
 
 // mdLink matches [text](target); images ![alt](target) share the suffix.
@@ -59,8 +63,7 @@ func checkMarkdownLinks(root string) []string {
 			return err
 		}
 		if d.IsDir() {
-			name := d.Name()
-			if name == ".git" || name == "node_modules" || (strings.HasPrefix(name, ".") && name != ".") {
+			if skipDir(d) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -83,7 +86,7 @@ func checkMarkdownLinks(root string) []string {
 				continue
 			}
 			resolved := filepath.Join(filepath.Dir(path), target)
-			if _, err := os.Stat(resolved); err != nil {
+			if !exists(resolved) {
 				problems = append(problems, fmt.Sprintf("%s: broken link %q (%s does not exist)", path, m[1], resolved))
 			}
 		}
@@ -93,6 +96,69 @@ func checkMarkdownLinks(root string) []string {
 		problems = append(problems, fmt.Sprintf("docscheck: walking %s: %v", root, err))
 	}
 	return problems
+}
+
+// skipDir reports whether the walks skip a directory: VCS metadata and
+// other hidden trees.
+func skipDir(d fs.DirEntry) bool {
+	name := d.Name()
+	return name == ".git" || name == "node_modules" || (strings.HasPrefix(name, ".") && name != ".")
+}
+
+// mdRef matches a markdown path named in prose, such as README.md or
+// docs/operations.md.
+var mdRef = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// checkCommentDocRefs parses every non-generated Go file under root and
+// reports comments naming a *.md file that exists neither relative to the
+// repository root nor relative to the file's directory. Paths starting
+// with "/" (absolute paths, URL remainders) are not checked.
+func checkCommentDocRefs(root string) []string {
+	var problems []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if skipDir(d) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		if ast.IsGenerated(f) {
+			return nil
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, ref := range mdRef.FindAllString(c.Text, -1) {
+					if strings.HasPrefix(ref, "/") || exists(filepath.Join(root, ref)) ||
+						exists(filepath.Join(filepath.Dir(path), ref)) {
+						continue
+					}
+					problems = append(problems, fmt.Sprintf("%s: comment names %s, which does not exist",
+						fset.Position(c.Pos()), ref))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		problems = append(problems, fmt.Sprintf("docscheck: walking %s: %v", root, err))
+	}
+	return problems
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // checkDocComments parses every non-test Go file in dir and reports
